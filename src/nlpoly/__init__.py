@@ -12,7 +12,6 @@ from .digraph import (
     DEFAULT_COLORING_BUDGET,
     DEFAULT_ENUMERATION_CAP,
     Digraph,
-    TotallyCyclicPoset,
     count_acyclic_colorings,
     incidence_matrix,
     is_totally_cyclic,
@@ -37,7 +36,6 @@ from .om import (
     SignVector,
     chirotope_from_matrix,
     cocircuits,
-    compose,
     dual_realization,
     mobius_from_bottom,
     nonneg_face_lattice,
@@ -52,13 +50,12 @@ from .poly import (
     specialize,
 )
 from .ratlin import (
-    EpsMatrix,
-    EpsPoly,
     RatMatrix,
     det_rat,
     det_sign_eps,
-    rank_eps,
+    eps_limit_rows,
     rank_rat,
+    row_basis,
     standard_form,
 )
 from .union import (

@@ -4,8 +4,8 @@ Subcommands: ``coflow``, ``flow``, ``dichromate``, ``colorings`` and
 ``check``.  Inputs are either digraph text files (``digraph <n>``
 header, one ``<tail> <head>`` arc per line) or matrix JSON files
 (``{"rows": [[...]]}`` with integers or "p/q" strings).  Exit codes:
-0 success, 1 failed check, 2 malformed input or usage, 3 cap or budget
-exceeded, 4 violated internal invariant.
+0 success, 1 failed check, 2 malformed or unreadable input or usage, 3
+cap or budget exceeded, 4 violated internal invariant.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .om import RealizedOM
 from .poly import dichromate, nl_coflow_matroid, nl_flow_matroid
-from .ratlin import RatMatrix
+from .ratlin import RatMatrix, row_basis
 
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
 
@@ -44,7 +44,6 @@ _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
 class RunConfig:
     command: str
     input_path: str
-    input_kind: str = ""
     basis: tuple | None = None
     k: int | None = None
     output_format: str = "text"
@@ -87,7 +86,7 @@ def parse_matrix(path) -> RatMatrix:
     return RatMatrix(len(rows), width, entries)
 
 
-def load_input(path: str, cap: int):
+def load_input(path: str):
     """Detect and parse the input file; returns (kind, digraph_or_matrix)."""
     text = Path(path).read_text()
     stripped = text.lstrip()
@@ -103,8 +102,12 @@ def _check_cap(ground_size: int, cap: int, doubled: bool):
         raise ResourceLimitError(f"{ground_size} elements exceed {what} {limit}")
 
 
-def _poly_payload(poly):
-    return poly.to_json()
+def _realize(kind, obj) -> RealizedOM:
+    """The oriented matroid of a parsed input.  Matrix rows are first cut
+    down to a row basis, so dependent rows still realize their matroid."""
+    if kind == "digraph":
+        return matroid_from_digraph(obj)
+    return RealizedOM.from_rational(row_basis(obj))
 
 
 def _emit(config: RunConfig, payload: dict, text_lines):
@@ -117,8 +120,10 @@ def _emit(config: RunConfig, payload: dict, text_lines):
 
 def run(config: RunConfig) -> int:
     """Execute one parsed command; returns the process exit status."""
-    kind, obj = load_input(config.input_path, config.cap)
-    config.input_kind = kind
+    try:
+        kind, obj = load_input(config.input_path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {config.input_path}: {exc}") from None
     if not config.oracle:
         config.oracle = "matroid" if kind == "matrix" else "graphic"
 
@@ -131,11 +136,10 @@ def run(config: RunConfig) -> int:
             _check_cap(obj.cols, config.cap, doubled=False)
         if config.oracle == "graphic":
             poly = nl_coflow_graphic(obj, config.cap)
-            _emit(config, {"polynomial": _poly_payload(poly)}, [str(poly)])
+            _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
         elif config.oracle == "matroid":
-            om = matroid_from_digraph(obj) if kind == "digraph" else RealizedOM.from_rational(obj)
-            poly = nl_coflow_matroid(om)
-            _emit(config, {"polynomial": _poly_payload(poly)}, [str(poly)])
+            poly = nl_coflow_matroid(_realize(kind, obj))
+            _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
         else:  # both
             graphic = nl_coflow_graphic(obj, config.cap)
             matroid = nl_coflow_matroid(matroid_from_digraph(obj))
@@ -146,8 +150,8 @@ def run(config: RunConfig) -> int:
             _emit(
                 config,
                 {
-                    "graphic": _poly_payload(graphic),
-                    "matroid": _poly_payload(matroid),
+                    "graphic": graphic.to_json(),
+                    "matroid": matroid.to_json(),
                     "agree": True,
                 },
                 [f"graphic: {graphic}", f"matroid: {matroid}", "agree: yes"],
@@ -155,25 +159,25 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "flow":
-        om = matroid_from_digraph(obj) if kind == "digraph" else RealizedOM.from_rational(obj)
+        om = _realize(kind, obj)
         _check_cap(om.ground_size, config.cap, doubled=False)
         poly = nl_flow_matroid(om)
-        _emit(config, {"polynomial": _poly_payload(poly)}, [str(poly)])
+        _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
         return 0
 
     if config.command == "dichromate":
-        om = matroid_from_digraph(obj) if kind == "digraph" else RealizedOM.from_rational(obj)
+        om = _realize(kind, obj)
         _check_cap(om.ground_size, config.cap, doubled=True)
-        basis0 = None
-        if config.basis is not None:
-            basis0 = [b - 1 for b in config.basis]
-            if any(b < 0 for b in basis0):
-                raise InvalidBasisError("basis columns are 1-based")
-        poly, basis_used = dichromate(om, basis0)
+        basis0 = None if config.basis is None else [b - 1 for b in config.basis]
+        try:
+            poly, basis_used = dichromate(om, basis0)
+        except InvalidBasisError as exc:
+            # restate the columns in the 1-based terms of --basis
+            raise InvalidBasisError([c + 1 for c in exc.columns], exc.reason) from None
         shown = [int(b) + 1 for b in basis_used]
         _emit(
             config,
-            {"polynomial": _poly_payload(poly), "basis": shown},
+            {"polynomial": poly.to_json(), "basis": shown},
             [str(poly), "basis: " + ",".join(str(b) for b in shown)],
         )
         return 0
@@ -188,12 +192,8 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "check":
-        if kind == "digraph":
-            om = matroid_from_digraph(obj)
-            results = run_checks(om, digraph=obj, cap=config.cap)
-        else:
-            om = RealizedOM.from_rational(obj)
-            results = run_checks(om, cap=config.cap)
+        digraph = obj if kind == "digraph" else None
+        results = run_checks(_realize(kind, obj), digraph=digraph, cap=config.cap)
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     )
     try:
         return run(config)
-    except (ParseError, InvalidBasisError, FileNotFoundError) as exc:
+    except (ParseError, InvalidBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ParseError, ResourceLimitError
 from .om import RealizedOM, mobius_from_bottom
 from .poly import TriPoly
-from .ratlin import RatMatrix, _rank_rows, rank_rat
+from .ratlin import RatMatrix, rank_rat, row_basis
 
 DEFAULT_ENUMERATION_CAP = 16
 DEFAULT_COLORING_BUDGET = 1_000_000
@@ -136,24 +136,9 @@ def is_totally_cyclic(d: Digraph, arc_subset) -> bool:
     return all(comp[t] == comp[h] for t, h in chosen)
 
 
-class TotallyCyclicPoset:
-    """All totally cyclic arc subsets with their Moebius values."""
-
-    __slots__ = ("members", "mobius")
-
-    def __init__(self, members, mobius):
-        self.members = tuple(members)
-        self.mobius = dict(mobius)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TotallyCyclicPoset:
-    """Enumerate every totally cyclic arc subset (including the empty one)."""
+def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
+    """Every totally cyclic arc subset (including the empty one) as a
+    frozenset, sorted by size and then by elements."""
     m = d.arc_count
     if m > cap:
         raise ResourceLimitError(f"{m} arcs exceed the enumeration cap {cap}")
@@ -163,7 +148,7 @@ def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TotallyCycl
         if is_totally_cyclic(d, subset):
             members.append(subset)
     members.sort(key=lambda s: (len(s), sorted(s)))
-    return TotallyCyclicPoset(members, mobius_from_bottom(members))
+    return tuple(members)
 
 
 def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
@@ -172,13 +157,13 @@ def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
     The exponent of a subset is the incidence rank of the whole digraph
     minus the incidence rank of the subset's columns.
     """
-    q = totally_cyclic_poset(d, cap)
+    mobius = mobius_from_bottom(totally_cyclic_poset(d, cap))
     inc = incidence_matrix(d)
     full = rank_rat(inc)
     out = []
-    for b in q:
+    for b, mu in mobius.items():
         rank_b = rank_rat(inc.column_submatrix(sorted(b)))
-        out.append(((full - rank_b, 0, 0), q.mobius[b]))
+        out.append(((full - rank_b, 0, 0), mu))
     return TriPoly(out)
 
 
@@ -232,10 +217,4 @@ def count_acyclic_colorings(d: Digraph, k: int, budget=DEFAULT_COLORING_BUDGET) 
 def matroid_from_digraph(d: Digraph) -> RealizedOM:
     """The graphic oriented matroid: incidence matrix reduced to a
     full-row-rank realization (a lexicographically first row basis)."""
-    inc = incidence_matrix(d)
-    kept = []
-    for row in inc.row_lists():
-        if _rank_rows(kept + [row]) > len(kept):
-            kept.append(row)
-    matrix = RatMatrix(len(kept), d.arc_count, [x for row in kept for x in row])
-    return RealizedOM.from_rational(matrix, labels=tuple(range(d.arc_count)))
+    return RealizedOM.from_rational(row_basis(incidence_matrix(d)))

@@ -6,7 +6,16 @@ class DimensionError(ValueError):
 
 
 class InvalidBasisError(ValueError):
-    """A supplied column set is not a basis of the matroid."""
+    """A supplied column set is not a basis of the matroid.
+
+    Carries the offending ``columns`` and the ``reason`` separately, so a
+    caller that numbers columns differently can restate the error.
+    """
+
+    def __init__(self, columns, reason):
+        self.columns = list(columns)
+        self.reason = reason
+        super().__init__(f"basis {self.columns} {reason}")
 
 
 class NotARealizationError(ValueError):

@@ -1,17 +1,15 @@
 """Oriented-matroid combinatorics from an exact realization.
 
 A realized oriented matroid is a full-row-rank matrix over the
-rationals (possibly carrying eps-infinitesimal entries); its chirotope
-is read off as the determinant signs of column r-tuples.  From the
-chirotope we enumerate signed cocircuits, build the nonnegative face
-lattice ordered by support inclusion, and compute Moebius values from
-the bottom element.
+rationals; its chirotope is read off as the determinant signs of column
+r-tuples.  From the chirotope we enumerate signed cocircuits, build the
+nonnegative face lattice ordered by support inclusion, and compute
+Moebius values from the bottom element.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import (
     ContractViolation,
@@ -19,14 +17,7 @@ from .errors import (
     InvalidPosetError,
     NotARealizationError,
 )
-from .ratlin import (
-    EpsMatrix,
-    RatMatrix,
-    _det_rows_number,
-    _rank_rows,
-    det_sign_eps,
-    standard_form,
-)
+from .ratlin import RatMatrix, _rank_rows, det_sign_eps, integer_row, standard_form
 
 
 class SignVector:
@@ -86,11 +77,6 @@ class SignVector:
 
     def __repr__(self):
         return f"SignVector({self})"
-
-
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    """Composition x o y: x's sign where nonzero, else y's."""
-    return x.compose(y)
 
 
 class Chirotope:
@@ -176,87 +162,7 @@ class FaceLattice:
 # chirotope extraction
 
 
-def _split_structure(m: EpsMatrix):
-    """Detect a two-block row structure that lets determinants factor.
-
-    Rows split into degree-0 rows and monomial rows whose entry degrees
-    depend only on the column; then every maximal minor is a sum of
-    products of two rational minors times a power of eps.  Returns
-    (const_rows, mono_rows, mono_positions, col_degrees) or None.
-    """
-    const_rows, mono_rows, mono_pos = [], [], []
-    col_deg = [None] * m.cols
-    for i, row in enumerate(m.row_lists()):
-        if any(len(e.terms) > 1 for e in row):
-            return None
-        if all(e.max_degree() == 0 for e in row):
-            const_rows.append([e.constant_value() if e else 0 for e in row])
-            continue
-        coeffs = []
-        for j, e in enumerate(row):
-            if e:
-                d, c = e.terms[0]
-                if col_deg[j] is None:
-                    col_deg[j] = d
-                elif col_deg[j] != d:
-                    return None
-                coeffs.append(c)
-            else:
-                coeffs.append(0)
-        mono_rows.append(coeffs)
-        mono_pos.append(i)
-    return const_rows, mono_rows, mono_pos, [d or 0 for d in col_deg]
-
-
-def _chirotope_signs_split(m: EpsMatrix, split):
-    """All maximal-minor signs via block Laplace expansion with memoized
-    rational minors."""
-    const_rows, mono_rows, mono_pos, col_deg = split
-    r, n = m.rows, m.cols
-    nb = len(mono_rows)
-    base_parity = -1 if sum(p + 1 for p in mono_pos) % 2 else 1
-    top_memo, bot_memo = {}, {}
-
-    def top_det(cols):
-        d = top_memo.get(cols)
-        if d is None:
-            d = _det_rows_number([[row[j] for j in cols] for row in const_rows])
-            top_memo[cols] = d
-        return d
-
-    def bot_det(cols):
-        d = bot_memo.get(cols)
-        if d is None:
-            d = _det_rows_number([[row[j] for j in cols] for row in mono_rows])
-            bot_memo[cols] = d
-        return d
-
-    signs = {}
-    positions = list(range(r))
-    for sub in itertools.combinations(range(n), r):
-        acc = {}
-        for tpos in itertools.combinations(positions, nb):
-            tcols = tuple(sub[p] for p in tpos)
-            db = bot_det(tcols)
-            if not db:
-                continue
-            ucols = tuple(sub[p] for p in positions if p not in tpos)
-            dt = top_det(ucols)
-            if not dt:
-                continue
-            deg = sum(col_deg[j] for j in tcols)
-            par = base_parity if sum(p + 1 for p in tpos) % 2 == 0 else -base_parity
-            acc[deg] = acc.get(deg, 0) + par * db * dt
-        val = 0
-        for deg in sorted(acc):
-            if acc[deg]:
-                val = 1 if acc[deg] > 0 else -1
-                break
-        signs[sub] = val
-    return signs
-
-
-def chirotope_from_matrix(m: EpsMatrix) -> Chirotope:
+def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
     """Chirotope of the column oriented matroid of a full-row-rank matrix.
 
     Globally negated if needed so the lexicographically first basis is +1.
@@ -264,14 +170,13 @@ def chirotope_from_matrix(m: EpsMatrix) -> Chirotope:
     r, n = m.rows, m.cols
     if r > n:
         raise NotARealizationError(f"{r} rows cannot be independent among {n} columns")
-    split = _split_structure(m)
-    if split is not None:
-        signs = _chirotope_signs_split(m, split)
-    else:
-        signs = {
-            sub: det_sign_eps(m.column_submatrix(sub))
-            for sub in itertools.combinations(range(n), r)
-        }
+    # Clearing each row's denominators scales every maximal minor by the
+    # same positive integer, and keeps Bareiss in integer arithmetic.
+    rows = [integer_row(row) for row in m.row_lists()]
+    signs = {
+        sub: det_sign_eps([[row[j] for j in sub] for row in rows])
+        for sub in itertools.combinations(range(n), r)
+    }
     flip = 0
     for sub in sorted(signs):
         if signs[sub]:
@@ -289,7 +194,7 @@ class RealizedOM:
 
     __slots__ = ("matrix", "chirotope", "labels", "_cocircuits", "_lattice")
 
-    def __init__(self, matrix: EpsMatrix, labels=None):
+    def __init__(self, matrix: RatMatrix, labels=None):
         self.matrix = matrix
         self.chirotope = chirotope_from_matrix(matrix)
         if labels is None:
@@ -304,7 +209,7 @@ class RealizedOM:
 
     @classmethod
     def from_rational(cls, m: RatMatrix, labels=None) -> "RealizedOM":
-        return cls(m.to_eps(), labels)
+        return cls(m, labels)
 
     @property
     def ground_size(self) -> int:
@@ -314,38 +219,17 @@ class RealizedOM:
     def rank(self) -> int:
         return self.matrix.rows
 
-    def is_rational(self) -> bool:
-        return self.matrix.is_constant()
-
-    def rat_matrix(self) -> RatMatrix:
-        if not self.is_rational():
-            raise ContractViolation("realization carries eps-infinitesimal entries")
-        return self.matrix.to_rat()
-
     def is_standard_form(self) -> bool:
-        if not self.is_rational() or self.rank > self.ground_size:
-            return False
         m = self.matrix
-        return all(
-            m.at(i, j).constant_value() == (1 if i == j else 0)
+        return self.rank <= self.ground_size and all(
+            m.at(i, j) == (1 if i == j else 0)
             for i in range(self.rank)
             for j in range(self.rank)
         )
 
     def column_rank(self, cols) -> int:
         """Rank of the column submatrix on ``cols``."""
-        cols = sorted(cols)
-        if not cols:
-            return 0
-        rows = self.matrix.column_submatrix(cols).row_lists()
-        upper = min(len(cols), self.rank)
-        # Rank at a sample eps certifies the symbolic rank when it
-        # meets the upper bound; otherwise fall back to symbolic rows.
-        sample = Fraction(1, 2)
-        approx = _rank_rows([[e.eval_at(sample) for e in row] for row in rows])
-        if approx == upper:
-            return upper
-        return _rank_rows(rows)
+        return _rank_rows(self.matrix.column_submatrix(sorted(cols)).row_lists())
 
     def bases(self):
         return self.chirotope.bases()
@@ -487,7 +371,7 @@ def dual_realization(om: RealizedOM) -> RealizedOM:
     if not om.is_standard_form():
         raise ContractViolation("dual_realization requires a standard-form realization")
     r, n = om.rank, om.ground_size
-    m = om.rat_matrix()
+    m = om.matrix
     rows = []
     for i in range(n - r):
         row = [-m.at(j, r + i) for j in range(r)]
@@ -504,7 +388,7 @@ def standardize(om: RealizedOM, basis=None):
     permuted position i, and ``std_om.labels`` carries the original
     labels along.
     """
-    m = om.rat_matrix()
+    m = om.matrix
     perm, c_block = standard_form(m, basis)
     r = c_block.rows
     rows = []

@@ -1,10 +1,11 @@
-"""Exact linear algebra over the rationals and over polynomials in eps.
+"""Exact linear algebra over the rationals.
 
-Everything here is exact.  Rational values are plain ints or
-``fractions.Fraction``; quantities that depend on a positive
-infinitesimal are polynomials in eps, and their sign "for eps > 0
-sufficiently small" is the sign of the lowest-degree coefficient.  No
-numeric value for eps is ever chosen.
+Everything here is exact: values are plain ints or
+``fractions.Fraction``.  A matrix whose entries carry powers of a
+positive infinitesimal eps is never handled symbolically; instead
+``eps_limit_rows`` evaluates it at a rational eps0 that is certified
+small enough for every minor to have its eps -> 0+ sign and rank, and
+clears the powers of 1/eps0 into integer entries.
 
 Determinants use Bareiss (fraction-free) elimination, whose divisions
 are exact; ranks use division-free cross-multiplication elimination.
@@ -12,6 +13,7 @@ are exact; ranks use division-free cross-multiplication elimination.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionError, InvalidBasisError
@@ -24,146 +26,6 @@ def sign_of(q) -> int:
     if q < 0:
         return -1
     return 0
-
-
-class EpsPoly:
-    """Sparse polynomial in eps with exact rational coefficients.
-
-    Immutable.  ``terms`` is a tuple of (degree, coeff) pairs with
-    strictly increasing degrees and no zero coefficients; the zero
-    polynomial has an empty tuple.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        for deg, coeff in terms:
-            if deg < 0:
-                raise ValueError("negative eps degree")
-            c = acc.get(deg, 0) + coeff
-            if c:
-                acc[deg] = c
-            elif deg in acc:
-                del acc[deg]
-        self.terms = tuple(sorted(acc.items()))
-
-    @classmethod
-    def const(cls, value) -> "EpsPoly":
-        return cls(((0, value),)) if value else cls()
-
-    @classmethod
-    def mono(cls, coeff, degree) -> "EpsPoly":
-        return cls(((degree, coeff),)) if coeff else cls()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, EpsPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __add__(self, other):
-        return EpsPoly(self.terms + other.terms)
-
-    def __neg__(self):
-        return EpsPoly(tuple((d, -c) for d, c in self.terms))
-
-    def __sub__(self, other):
-        return EpsPoly(self.terms + tuple((d, -c) for d, c in other.terms))
-
-    def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return EpsPoly()
-        acc = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                d = d1 + d2
-                c = acc.get(d, 0) + c1 * c2
-                if c:
-                    acc[d] = c
-                elif d in acc:
-                    del acc[d]
-        out = EpsPoly.__new__(EpsPoly)
-        out.terms = tuple(sorted(acc.items()))
-        return out
-
-    def exact_div(self, divisor: "EpsPoly") -> "EpsPoly":
-        """Divide by ``divisor``, which must divide exactly."""
-        if not divisor.terms:
-            raise ZeroDivisionError("eps-polynomial division by zero")
-        if not self.terms:
-            return EpsPoly()
-        rem = dict(self.terms)
-        dlead_deg, dlead_coeff = divisor.terms[-1]
-        quot = {}
-        while rem:
-            rdeg = max(rem)
-            if rdeg < dlead_deg:
-                raise ArithmeticError("inexact eps-polynomial division")
-            qdeg = rdeg - dlead_deg
-            qc = Fraction(rem[rdeg], dlead_coeff)
-            if qc.denominator == 1:
-                qc = qc.numerator
-            quot[qdeg] = qc
-            for d, c in divisor.terms:
-                nd = d + qdeg
-                nc = rem.get(nd, 0) - qc * c
-                if nc:
-                    rem[nd] = nc
-                elif nd in rem:
-                    del rem[nd]
-        out = EpsPoly.__new__(EpsPoly)
-        out.terms = tuple(sorted(quot.items()))
-        return out
-
-    def low(self):
-        """Lowest term as (degree, coeff), or None for the zero polynomial."""
-        return self.terms[0] if self.terms else None
-
-    def sign_eps(self) -> int:
-        """Sign of the polynomial for all sufficiently small eps > 0."""
-        return sign_of(self.terms[0][1]) if self.terms else 0
-
-    def max_degree(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a degree-0 polynomial")
-        return self.terms[0][1] if self.terms else 0
-
-    def eval_at(self, value):
-        """Exact value at eps = value (a rational)."""
-        return sum((c * value**d for d, c in self.terms), 0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for d, c in self.terms:
-            if d == 0:
-                body = str(abs(c))
-            else:
-                var = "eps" if d == 1 else f"eps^{d}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            parts.append(("-" if c < 0 else "+", body))
-        head_sign, head = parts[0]
-        out = ("-" if head_sign == "-" else "") + head
-        for s, body in parts[1:]:
-            out += f" {s} {body}"
-        return out
-
-    def __repr__(self):
-        return f"EpsPoly({self})"
-
-
-_EPS_ZERO = EpsPoly()
 
 
 class RatMatrix:
@@ -209,12 +71,10 @@ class RatMatrix:
 
     def column_submatrix(self, cols) -> "RatMatrix":
         cols = list(cols)
+        e, c = self.entries, self.cols
         return RatMatrix(
-            self.rows, len(cols), [self.at(i, j) for i in range(self.rows) for j in cols]
+            self.rows, len(cols), [e[i * c + j] for i in range(self.rows) for j in cols]
         )
-
-    def to_eps(self) -> "EpsMatrix":
-        return EpsMatrix(self.rows, self.cols, [EpsPoly.const(x) for x in self.entries])
 
     def __eq__(self, other):
         return (
@@ -224,67 +84,8 @@ class RatMatrix:
             and all(a == b for a, b in zip(self.entries, other.entries))
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(Fraction(x) for x in self.entries)))
-
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols}, {self.row_lists()})"
-
-
-class EpsMatrix:
-    """Dense matrix of eps-polynomials, row-major, immutable."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise DimensionError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
-        if not all(isinstance(e, EpsPoly) for e in entries):
-            raise TypeError("EpsMatrix entries must be EpsPoly")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, row_lists) -> "EpsMatrix":
-        row_lists = [list(r) for r in row_lists]
-        ncols = len(row_lists[0]) if row_lists else 0
-        if any(len(r) != ncols for r in row_lists):
-            raise DimensionError("ragged rows")
-        return cls(len(row_lists), ncols, [x for r in row_lists for x in r])
-
-    def at(self, i, j) -> EpsPoly:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self):
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def column_submatrix(self, cols) -> "EpsMatrix":
-        cols = list(cols)
-        return EpsMatrix(
-            self.rows, len(cols), [self.at(i, j) for i in range(self.rows) for j in cols]
-        )
-
-    def is_constant(self) -> bool:
-        return all(e.is_constant() for e in self.entries)
-
-    def to_rat(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, [e.constant_value() for e in self.entries])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EpsMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"EpsMatrix({self.rows}x{self.cols}, {[[str(e) for e in r] for r in self.row_lists()]})"
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +93,9 @@ class EpsMatrix:
 
 
 def _rank_rows(rows) -> int:
-    """Rank of a list of rows, division-free cross-multiplication.
+    """Rank of a list of rational rows, division-free cross-multiplication.
 
-    Entries may be rationals or EpsPoly (any ring elements supporting
-    *, - and truth testing); scaling a row by a nonzero ring element
-    never changes the rank.
+    Scaling a row by a nonzero number never changes the rank.
     """
     a = [list(r) for r in rows]
     if not a or not a[0]:
@@ -351,46 +150,21 @@ def _det_rows_number(rows):
     return sign * a[n - 1][n - 1]
 
 
-def _det_sign_rows_eps(rows) -> int:
-    """Sign (as eps -> 0+) of the determinant of square EpsPoly rows."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = EpsPoly.const(1)
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai, ak = a[i], a[k]
-            for j in range(k + 1, n):
-                ai[j] = (pk * ai[j] - aik * ak[j]).exact_div(prev)
-            ai[k] = _EPS_ZERO
-        prev = pk
-    return sign * a[n - 1][n - 1].sign_eps()
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def det_sign_eps(m: EpsMatrix) -> int:
-    """Sign of det(m) in the limit eps -> 0+.
+def det_sign_eps(rows) -> int:
+    """Sign of the determinant of square rational rows.
 
-    Returns the sign of the lowest-degree nonzero coefficient of the
-    determinant as a polynomial in eps; 0 iff the determinant vanishes
-    identically.
+    The name is historical: a matrix perturbed by eps reaches here as
+    the integer rows of ``eps_limit_rows``, whose determinant signs are
+    the eps -> 0+ limits.
     """
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    return _det_sign_rows_eps(m.row_lists())
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionError(f"determinant of a {n}x{len(rows[0])} matrix")
+    return sign_of(_det_rows_number(rows))
 
 
 def det_rat(m: RatMatrix):
@@ -405,9 +179,44 @@ def rank_rat(m: RatMatrix) -> int:
     return _rank_rows(m.row_lists())
 
 
-def rank_eps(m: EpsMatrix) -> int:
-    """Rank over the field of rational functions in eps."""
-    return _rank_rows(m.row_lists())
+def row_basis(m: RatMatrix) -> RatMatrix:
+    """The rows of ``m`` kept by a greedy pass: its lexicographically first
+    row basis, a full-row-rank matrix with the same row space."""
+    kept = []
+    for row in m.row_lists():
+        if _rank_rows(kept + [row]) > len(kept):
+            kept.append(row)
+    return RatMatrix(len(kept), m.cols, [x for row in kept for x in row])
+
+
+def integer_row(row):
+    """``row`` times the least positive integer that clears its denominators."""
+    scale = math.lcm(*(x.denominator for x in row)) if row else 1
+    return [int(x * scale) for x in row]
+
+
+def eps_limit_rows(rows):
+    """Integer rows whose minors all have their eps -> 0+ sign and rank.
+
+    Every entry of ``rows`` is a monomial ``(coeff, degree)`` in a
+    positive infinitesimal eps, with rational ``coeff``.  Clear each
+    row's denominators by a positive integer and let S be the product of
+    the rows' l1 norms (a zero row counts as 1).  Every k x k minor is
+    then an integer polynomial in eps whose absolute coefficients sum to
+    at most S, so at eps0 = 1/K with K = S + 1 its lowest-degree
+    coefficient outweighs the rest: the minor has the sign of the
+    limit, and vanishes only if it vanishes identically.  Each row is
+    returned multiplied by K^D, D its largest degree, so an entry c*eps^d
+    becomes the integer c*K^(D-d); positive row scalings change no
+    minor's sign or rank.
+    """
+    coeffs = [integer_row([c for c, _ in row]) for row in rows]
+    k = 1 + math.prod(max(1, sum(map(abs, row))) for row in coeffs)
+    out = []
+    for row, ints in zip(rows, coeffs):
+        top = max((d for _, d in row), default=0)
+        out.append([c * k ** (top - d) for c, (_, d) in zip(ints, row)])
+    return out
 
 
 def standard_form(m: RatMatrix, basis=None):
@@ -433,13 +242,11 @@ def standard_form(m: RatMatrix, basis=None):
         if len(set(basis)) != len(basis) or any(
             not (0 <= j < m.cols) for j in basis
         ):
-            raise InvalidBasisError(f"basis {basis} is not a set of valid column indices")
+            raise InvalidBasisError(basis, "is not a set of valid column indices")
         if len(basis) != r:
-            raise InvalidBasisError(
-                f"basis {basis} has size {len(basis)}, matroid rank is {r}"
-            )
+            raise InvalidBasisError(basis, f"has size {len(basis)}, matroid rank is {r}")
         if rank_rat(m.column_submatrix(basis)) != r:
-            raise InvalidBasisError(f"columns {basis} are dependent")
+            raise InvalidBasisError(basis, "is a dependent column set")
     rest = [j for j in range(m.cols) if j not in set(basis)]
     perm = tuple(basis) + tuple(rest)
 

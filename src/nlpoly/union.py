@@ -4,17 +4,21 @@ Given M in standard form (I_r | C) on n elements, the supermatroid
 lives on 2n elements: E (the original ground), A (one partner per
 basis element) and B (one partner per cobasis element).  It is realized
 by stacking (I_r | C | I_r | 0) on top of (-C^T | I_{n-r} | 0 | I_{n-r})
-with column i of the bottom block scaled by eps^(2n-i); deleting A and
-contracting B recovers M, while contracting A and deleting B recovers
-the dual.  Nonnegative covectors of M and of the dual lift into the
-supermatroid's face lattice and restrict back out of it.
+with column j of the bottom block scaled by eps^(2n-1-j) for a positive
+infinitesimal eps; deleting A and contracting B recovers M, while
+contracting A and deleting B recovers the dual.  The realization is
+built at a rational eps certified small enough for every minor to have
+its eps -> 0+ sign and rank (``ratlin.eps_limit_rows``), so the union
+supermatroid is an ordinary integer-matrix realization.  Nonnegative
+covectors of M and of the dual lift into the supermatroid's face
+lattice and restrict back out of it.
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, DimensionError
 from .om import RealizedOM, SignVector, dual_realization, nonneg_face_lattice
-from .ratlin import EpsMatrix, EpsPoly, _rank_rows
+from .ratlin import RatMatrix, eps_limit_rows, row_basis
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -59,21 +63,20 @@ def build_hat(om: RealizedOM) -> HatMatroid:
     if not om.is_standard_form():
         raise ContractViolation("build_hat requires a standard-form realization (I_r | C)")
     r, n = om.rank, om.ground_size
-    m = om.rat_matrix()
+    m = om.matrix
     rows = []
     for i in range(r):
-        row = [EpsPoly.const(m.at(i, j)) for j in range(n)]
-        row += [EpsPoly.const(1 if j == i else 0) for j in range(r)]
-        row += [EpsPoly()] * (n - r)
-        rows.append(row)
+        coeffs = [m.at(i, j) for j in range(n)]
+        coeffs += [1 if j == i else 0 for j in range(r)]
+        coeffs += [0] * (n - r)
+        rows.append([(c, 0) for c in coeffs])
     for i in range(n - r):
         coeffs = [-m.at(j, r + i) for j in range(r)]
         coeffs += [1 if k == i else 0 for k in range(n - r)]
         coeffs += [0] * r
         coeffs += [1 if k == i else 0 for k in range(n - r)]
-        rows.append([EpsPoly.mono(c, 2 * n - 1 - j) for j, c in enumerate(coeffs)])
-    hat_matrix = EpsMatrix.from_rows(rows) if rows else EpsMatrix(0, 0, [])
-    hat = RealizedOM(hat_matrix, labels=tuple(range(2 * n)))
+        rows.append([(c, 2 * n - 1 - j) for j, c in enumerate(coeffs)])
+    hat = RealizedOM(RatMatrix.from_rows(eps_limit_rows(rows)), labels=tuple(range(2 * n)))
     partner = {}
     for i in range(r):
         partner[n + i] = i
@@ -130,11 +133,7 @@ def minor(om: RealizedOM, delete=(), contract=()) -> RealizedOM:
         keep = [k for k, cid in enumerate(live) if cid not in delete]
         live = [live[k] for k in keep]
         rows = [[row[k] for k in keep] for row in rows]
-    kept_rows = []
-    for row in rows:
-        if _rank_rows(kept_rows + [row]) > len(kept_rows):
-            kept_rows.append(row)
-    matrix = EpsMatrix(len(kept_rows), len(live), [x for row in kept_rows for x in row])
+    matrix = row_basis(RatMatrix(len(rows), len(live), [x for row in rows for x in row]))
     return RealizedOM(matrix, labels=tuple(om.labels[cid] for cid in live))
 
 

@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's elimination and
 lattice code paths: determinants by permutation expansion, ranks by
 minor enumeration, covectors by filtering all sign vectors against
 kernel-solved circuits, and Moebius values by solving the triangular
-incidence system.
+incidence system.  The union supermatroid's eps perturbation is kept
+symbolic here, as the reference for the library's certified rational
+eps: minors are expanded over monomial entries and their limit sign is
+read off the lowest-degree coefficient.
 """
 
 import itertools
 from fractions import Fraction
 
 from nlpoly.om import SignVector
-from nlpoly.ratlin import EpsMatrix, EpsPoly, RatMatrix
+from nlpoly.ratlin import RatMatrix
 
 
 def perm_det(rows):
@@ -33,24 +36,96 @@ def perm_det(rows):
     return total
 
 
-def eps_perm_det(m: EpsMatrix) -> EpsPoly:
-    """Determinant of an EpsMatrix by permutation expansion."""
-    n = m.rows
-    rows = m.row_lists()
-    total = EpsPoly()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            j = seen.index(min(seen[i:]), i)
-            if j != i:
-                seen[i], seen[j] = seen[j], seen[i]
-                sign = -sign
-        prod = EpsPoly.const(sign)
-        for i in range(n):
-            prod = prod * rows[i][perm[i]]
-        total = total + prod
-    return total
+def _eps_minor(rows, cols, memo):
+    """Determinant, as {eps degree: coeff}, of the last len(cols) monomial
+    rows on the sorted column tuple ``cols``.
+
+    This is the permutation expansion of the minor, grouped by the column
+    taken in the first of those rows (Laplace expansion), with zero
+    entries skipped and shared sub-minors kept in ``memo``.
+    """
+    if cols in memo:
+        return memo[cols]
+    out = {0: 1} if not cols else {}
+    i = len(rows) - len(cols)
+    for pos, j in enumerate(cols):
+        c, d = rows[i][j]
+        if not c:
+            continue
+        sign = -1 if pos % 2 else 1
+        for deg, coeff in _eps_minor(rows, cols[:pos] + cols[pos + 1 :], memo).items():
+            out[deg + d] = out.get(deg + d, 0) + sign * c * coeff
+    memo[cols] = out = {deg: c for deg, c in out.items() if c}
+    return out
+
+
+def _low_sign(poly) -> int:
+    if not poly:
+        return 0
+    return 1 if poly[min(poly)] > 0 else -1
+
+
+def eps_limit_det_sign(rows) -> int:
+    """Sign as eps -> 0+ of the determinant of square monomial rows.
+
+    Entries are ``(coeff, degree)`` standing for coeff * eps^degree; the
+    sign is that of the lowest-degree nonzero coefficient.
+    """
+    return _low_sign(_eps_minor(rows, tuple(range(len(rows))), {}))
+
+
+def symbolic_hat_rows(std: RatMatrix):
+    """The union supermatroid's realization with eps kept symbolic.
+
+    For a standard form (I_r | C) on n elements: rows (I_r | C | I_r | 0)
+    at degree 0 over rows (-C^T | I_{n-r} | 0 | I_{n-r}) whose column j
+    carries eps^(2n-1-j).
+    """
+    r, n = std.rows, std.cols
+    out = []
+    for i in range(r):
+        row = [std.at(i, j) for j in range(n)] + [int(j == i) for j in range(r)] + [0] * (n - r)
+        out.append([(c, 0) for c in row])
+    for i in range(n - r):
+        row = [-std.at(j, r + i) for j in range(r)] + [int(k == i) for k in range(n - r)]
+        row += [0] * r + [int(k == i) for k in range(n - r)]
+        out.append([(c, 2 * n - 1 - j) for j, c in enumerate(row)])
+    return out
+
+
+def eps_limit_chirotope(rows, ncols):
+    """Normalized chirotope of monomial rows in the eps -> 0+ limit: the
+    raw maximal-minor signs, negated if needed so that the
+    lexicographically first nonzero one is +1."""
+    memo = {}
+    raw = {
+        sub: _low_sign(_eps_minor(rows, sub, memo))
+        for sub in itertools.combinations(range(ncols), len(rows))
+    }
+    flip = next((raw[s] for s in sorted(raw) if raw[s]), 1)
+    return {sub: flip * s for sub, s in raw.items()}
+
+
+def ranks_from_bases(ncols, bases):
+    """Rank of every column subset (as a bitmask) from the bases alone.
+
+    A subset of a basis is independent; a dependent set has the rank of
+    its best one-element deletion.
+    """
+    independent = set()
+    frontier = {sum(1 << e for e in b) for b in bases} or {0}
+    while frontier:
+        independent |= frontier
+        frontier = {
+            mask & ~(1 << e) for mask in frontier for e in range(ncols) if mask >> e & 1
+        } - independent
+    rank = [0] * (1 << ncols)
+    for mask in range(1 << ncols):
+        if mask in independent:
+            rank[mask] = bin(mask).count("1")
+        else:
+            rank[mask] = max(rank[mask & ~(1 << e)] for e in range(ncols) if mask >> e & 1)
+    return rank
 
 
 def brute_rank(m: RatMatrix) -> int:

@@ -185,3 +185,37 @@ def test_exit_3_on_cap(tmp_path, capsys):
     assert code == 3
     code, _, _ = _run(capsys, ["dichromate", path, "--cap", "6"])
     assert code == 0
+
+
+def test_matrix_rows_are_reduced_to_a_row_basis(tmp_path, capsys):
+    # dependent rows realize the same matroid as their row basis
+    for command in ("coflow", "flow", "dichromate", "check"):
+        outputs = []
+        for name, text in (
+            ("dep.json", '{"rows": [[1, 1], [2, 2]]}'),
+            ("one.json", '{"rows": [[1, 1]]}'),
+        ):
+            code, out, err = _run(capsys, [command, _write(tmp_path, name, text)])
+            assert code == 0 and not err
+            outputs.append(out)
+        assert outputs[0] == outputs[1], command
+    path = _write(tmp_path, "blank.json", '{"rows": [[]]}')
+    assert _run(capsys, ["dichromate", path]) == (0, "1\nbasis: \n", "")
+
+
+def test_exit_2_on_unreadable_input(tmp_path, capsys):
+    binary = tmp_path / "bin.dat"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (str(tmp_path), str(binary)):
+        code, out, err = _run(capsys, ["coflow", path])
+        assert code == 2 and not out
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_invalid_basis_is_reported_1_based(tmp_path, capsys):
+    path = _write(tmp_path, "digon.json", '{"rows": [[1, -1]]}')
+    code, _, err = _run(capsys, ["dichromate", path, "--basis", "1,1"])
+    assert code == 2
+    assert err == "error: basis [1, 1] is not a set of valid column indices\n"
+    code, _, err = _run(capsys, ["dichromate", path, "--basis", "1,2"])
+    assert code == 2 and err.startswith("error: basis [1, 2] has size 2")

@@ -17,6 +17,7 @@ from nlpoly.digraph import (
     totally_cyclic_poset,
 )
 from nlpoly.errors import ParseError, ResourceLimitError
+from nlpoly.om import mobius_from_bottom
 from nlpoly.poly import TriPoly, evaluate, nl_coflow_matroid
 from nlpoly.ratlin import RatMatrix, rank_rat
 from oracles import has_cycle_recursive, subset_rank_from_components
@@ -94,14 +95,14 @@ def test_is_totally_cyclic_examples():
 
 def test_totally_cyclic_poset_examples():
     single = totally_cyclic_poset(Digraph(2, [(0, 1)]))
-    assert single.members == (frozenset(),)
+    assert single == (frozenset(),)
 
     digon = totally_cyclic_poset(DIGON)
-    assert digon.members == (frozenset(), frozenset({0, 1}))
-    assert digon.mobius[frozenset({0, 1})] == -1
+    assert digon == (frozenset(), frozenset({0, 1}))
+    assert mobius_from_bottom(digon)[frozenset({0, 1})] == -1
 
     c3 = totally_cyclic_poset(CYCLE3)
-    assert c3.members == (frozenset(), frozenset({0, 1, 2}))
+    assert c3 == (frozenset(), frozenset({0, 1, 2}))
 
 
 def test_totally_cyclic_poset_cap():
@@ -113,7 +114,7 @@ def test_totally_cyclic_poset_cap():
 
 def test_totally_cyclic_union_closure():
     for d in random_digraphs(5150, 25):
-        q = set(totally_cyclic_poset(d).members)
+        q = set(totally_cyclic_poset(d))
         for a in q:
             for b in q:
                 assert a | b in q
@@ -122,7 +123,7 @@ def test_totally_cyclic_union_closure():
 def test_self_loop_law():
     d = Digraph(2, [(0, 0), (0, 1)])
     q = totally_cyclic_poset(d)
-    assert frozenset({0}) in set(q.members)
+    assert frozenset({0}) in q
     for k in (1, 2, 3):
         assert count_acyclic_colorings(d, k) == 0
 
@@ -199,8 +200,8 @@ def test_class_cycle_detection_matches_recursive_dfs():
 
 def test_matroid_from_digraph_examples():
     single = matroid_from_digraph(Digraph(2, [(0, 1)]))
-    assert single.rat_matrix() == RatMatrix(1, 1, [1])
+    assert single.matrix == RatMatrix(1, 1, [1])
     digon = matroid_from_digraph(DIGON)
-    assert digon.rat_matrix() == RatMatrix(1, 2, [1, -1])
+    assert digon.matrix == RatMatrix(1, 2, [1, -1])
     loop = matroid_from_digraph(Digraph(1, [(0, 0)]))
     assert loop.rank == 0 and loop.ground_size == 1

@@ -1,7 +1,6 @@
 """Chirotopes, cocircuits, the nonnegative face lattice, Moebius values
 and duality, checked against brute-force sign-vector oracles."""
 
-import itertools
 import random
 
 import pytest
@@ -17,18 +16,17 @@ from nlpoly.om import (
     SignVector,
     chirotope_from_matrix,
     cocircuits,
-    compose,
     dual_realization,
     mobius_from_bottom,
     nonneg_face_lattice,
     standardize,
 )
-from nlpoly.ratlin import EpsMatrix, EpsPoly, RatMatrix
+from nlpoly.ratlin import RatMatrix, eps_limit_rows
 from oracles import (
     brute_cocircuits,
     brute_nonneg_covectors,
     chirotopes_equal_up_to_sign,
-    eps_perm_det,
+    eps_limit_chirotope,
     mobius_by_inversion,
     relabeled_chirotope,
 )
@@ -72,11 +70,11 @@ def test_sign_vector_basics():
 
 def test_compose_examples():
     x = SignVector((1, 0))
-    assert compose(x, SignVector.zero(2)) == x
-    assert compose(SignVector((1, 0)), SignVector((0, 1))) == SignVector((1, 1))
-    assert compose(SignVector((1, 0, -1)), SignVector((-1, 1, 1))) == SignVector((1, 1, -1))
+    assert x.compose(SignVector.zero(2)) == x
+    assert SignVector((1, 0)).compose(SignVector((0, 1))) == SignVector((1, 1))
+    assert SignVector((1, 0, -1)).compose(SignVector((-1, 1, 1))) == SignVector((1, 1, -1))
     with pytest.raises(DimensionError):
-        compose(SignVector((1,)), SignVector((1, 0)))
+        SignVector((1,)).compose(SignVector((1, 0)))
 
 
 def test_compose_support_union():
@@ -92,19 +90,19 @@ def test_compose_support_union():
 
 
 def test_chirotope_examples():
-    chi = chirotope_from_matrix(RatMatrix.identity(2).to_eps())
+    chi = chirotope_from_matrix(RatMatrix.identity(2))
     assert chi.signs[(0, 1)] == 1
-    digon = chirotope_from_matrix(DIGON.to_eps())
+    digon = chirotope_from_matrix(DIGON)
     assert digon.signs[(0,)] == 1 and digon.signs[(1,)] == -1
-    par = chirotope_from_matrix(PARALLEL.to_eps())
+    par = chirotope_from_matrix(PARALLEL)
     assert par.signs[(0,)] == 1 and par.signs[(1,)] == 1
 
 
 def test_chirotope_rejects_rank_deficiency():
     with pytest.raises(NotARealizationError):
-        chirotope_from_matrix(RatMatrix(2, 2, [1, 1, 1, 1]).to_eps())
+        chirotope_from_matrix(RatMatrix(2, 2, [1, 1, 1, 1]))
     with pytest.raises(NotARealizationError):
-        chirotope_from_matrix(RatMatrix(2, 1, [1, 1]).to_eps())
+        chirotope_from_matrix(RatMatrix(2, 1, [1, 1]))
 
 
 def test_chirotope_alternation_and_duplicates():
@@ -132,31 +130,24 @@ def test_chirotope_normalized_first_basis_positive():
         assert om.chirotope.signs[bases[0]] == 1
 
 
-def test_chirotope_generic_path_matches_split_path():
-    # entries like 1 + eps defeat the block fast path; compare against
-    # permutation expansion on small symbolic matrices
+def test_chirotope_of_eps_rows_matches_symbolic_limit():
+    # random monomial entries in eps, certified into integers, against
+    # the permutation expansion of the symbolic maximal minors
     rng = random.Random(17)
-    for _ in range(30):
+    checked = 0
+    while checked < 30:
         n = rng.randint(2, 4)
         r = rng.randint(1, min(2, n))
-        entries = []
-        for _ in range(r * n):
-            entries.append(
-                EpsPoly(
-                    [(rng.randint(0, 2), rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))]
-                )
-            )
-        m = EpsMatrix(r, n, entries)
+        rows = [
+            [(rng.randint(-2, 2), rng.randint(0, 2)) for _ in range(n)] for _ in range(r)
+        ]
         try:
-            chi = chirotope_from_matrix(m)
+            chi = chirotope_from_matrix(RatMatrix.from_rows(eps_limit_rows(rows)))
         except NotARealizationError:
+            assert not any(eps_limit_chirotope(rows, n).values())
             continue
-        raw = {
-            sub: eps_perm_det(m.column_submatrix(sub)).sign_eps()
-            for sub in itertools.combinations(range(n), r)
-        }
-        flip = next(raw[s] for s in sorted(raw) if raw[s])
-        assert chi.signs == {s: flip * v for s, v in raw.items()}
+        checked += 1
+        assert chi.signs == eps_limit_chirotope(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +278,9 @@ def test_mobius_defining_identity_on_lattices():
 
 def test_dual_examples():
     d = dual_realization(_om(PARALLEL))
-    assert d.rat_matrix() == RatMatrix(1, 2, [-1, 1])
+    assert d.matrix == RatMatrix(1, 2, [-1, 1])
     d2 = dual_realization(_om(DIGON))
-    assert d2.rat_matrix() == RatMatrix(1, 2, [1, 1])
+    assert d2.matrix == RatMatrix(1, 2, [1, 1])
     d3 = dual_realization(_om(RatMatrix.identity(2)))
     assert d3.rank == 0 and d3.ground_size == 2
 

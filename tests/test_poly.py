@@ -1,6 +1,7 @@
 """Trivariate polynomials and the coflow/flow/dichromate trio."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from nlpoly.poly import (
     specialize,
 )
 from nlpoly.ratlin import RatMatrix
-from suite import TEST_DIGRAPHS, random_rat_matrix
+from suite import TEST_DIGRAPHS, TEST_MATRICES, random_rat_matrix
 
 X = TriPoly.x
 CYCLE3 = matroid_from_digraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
@@ -156,3 +157,41 @@ def test_coflow_at_one_vanishes_with_directed_cycles():
         psi = nl_coflow_matroid(matroid_from_digraph(d))
         has_cycle = count_acyclic_colorings(d, 1) == 0
         assert (evaluate(psi, 1) == 0) == has_cycle, name
+
+
+def _poly_texts(m):
+    om = RealizedOM.from_rational(m)
+    poly, basis = dichromate(om)
+    return str(nl_coflow_matroid(om)), str(nl_flow_matroid(om)), str(poly), basis
+
+
+def test_polynomials_survive_column_scaling_and_row_operations():
+    # Both moves keep the oriented matroid.  Row operations keep every
+    # text and the default basis.  A positive column scaling keeps the
+    # coflow and flow texts; it can change the dichromate text (the hat is
+    # built from the entries of the standard form, not from the oriented
+    # matroid alone), so only the first two are compared there.
+    rng = random.Random(83)
+    cases = [m for _, m in TEST_MATRICES]
+    cases += [matroid_from_digraph(d).matrix for _, d in TEST_DIGRAPHS]
+    cases = [m for m in cases if m.rows]
+    while len(cases) < 45:
+        m = random_rat_matrix(rng, rng.randint(1, 3), rng.randint(2, 5))
+        try:
+            RealizedOM.from_rational(m)
+        except Exception:
+            continue
+        cases.append(m)
+    for m in cases:
+        want = _poly_texts(m)
+        rows = m.row_lists()
+        j = rng.randrange(m.cols)
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        scaled = [[x * scale if k == j else x for k, x in enumerate(row)] for row in rows]
+        assert _poly_texts(RatMatrix.from_rows(scaled))[:2] == want[:2], m
+        if m.rows > 1:
+            a, b = rng.sample(range(m.rows), 2)
+            f = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            mixed = [list(row) for row in rows]
+            mixed[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
+            assert _poly_texts(RatMatrix.from_rows(mixed)) == want, m

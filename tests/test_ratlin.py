@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: eps-polynomials, determinant signs, ranks,
-and the standard-form reduction."""
+"""Exact arithmetic kernel: determinant signs, ranks, the certified eps
+perturbation, and the standard-form reduction."""
 
 import itertools
 import random
@@ -9,65 +9,15 @@ import pytest
 
 from nlpoly.errors import DimensionError, InvalidBasisError
 from nlpoly.ratlin import (
-    EpsMatrix,
-    EpsPoly,
     RatMatrix,
     det_rat,
     det_sign_eps,
-    rank_eps,
+    eps_limit_rows,
     rank_rat,
+    row_basis,
     standard_form,
 )
-from oracles import brute_rank, eps_perm_det, perm_det
-
-
-def eps(coeff, degree):
-    return EpsPoly.mono(coeff, degree)
-
-
-def const(value):
-    return EpsPoly.const(value)
-
-
-# ---------------------------------------------------------------------------
-# EpsPoly
-
-
-def test_eps_poly_normalization():
-    p = EpsPoly([(2, 1), (0, 3), (2, -1)])
-    assert p.terms == ((0, 3),)
-    assert not EpsPoly([(1, 1), (1, -1)])
-    assert EpsPoly().terms == ()
-
-
-def test_eps_poly_arithmetic():
-    p = const(1) + eps(1, 2)
-    q = const(2) - eps(3, 1)
-    assert (p * q).terms == ((0, 2), (1, -3), (2, 2), (3, -3))
-    assert (p - p).terms == ()
-    assert (-q).terms == ((0, -2), (1, 3))
-
-
-def test_eps_poly_sign_and_low():
-    assert (eps(1, 2) - eps(1, 3)).sign_eps() == 1
-    assert (eps(-2, 5) + const(0)).sign_eps() == -1
-    assert EpsPoly().sign_eps() == 0
-    assert (const(7) + eps(1, 4)).low() == (0, 7)
-
-
-def test_eps_poly_exact_division():
-    a = (const(1) + eps(1, 1)) * (const(3) - eps(2, 2))
-    assert a.exact_div(const(1) + eps(1, 1)) == const(3) - eps(2, 2)
-    with pytest.raises(ArithmeticError):
-        (const(1) + eps(1, 1)).exact_div(eps(1, 1))
-    with pytest.raises(ZeroDivisionError):
-        const(1).exact_div(EpsPoly())
-
-
-def test_eps_poly_str():
-    assert str(EpsPoly()) == "0"
-    assert str(eps(1, 3)) == "eps^3"
-    assert str(const(Fraction(-1, 2)) + eps(2, 1)) == "-1/2 + 2*eps"
+from oracles import brute_rank, eps_limit_det_sign, perm_det
 
 
 # ---------------------------------------------------------------------------
@@ -75,27 +25,30 @@ def test_eps_poly_str():
 
 
 def test_det_sign_identity():
-    assert det_sign_eps(RatMatrix.identity(2).to_eps()) == 1
+    assert det_sign_eps(RatMatrix.identity(2).row_lists()) == 1
 
 
 def test_det_sign_singular():
-    m = RatMatrix(2, 2, [1, 1, 1, 1]).to_eps()
-    assert det_sign_eps(m) == 0
+    assert det_sign_eps([[1, 1], [Fraction(1, 2), Fraction(1, 2)]]) == 0
 
 
 def test_det_sign_lowest_degree_wins():
     # det = eps^2 - eps^3; the eps^2 term dominates as eps -> 0+
-    m = EpsMatrix(2, 2, [const(1), const(1), eps(1, 3), eps(1, 2)])
-    assert det_sign_eps(m) == 1
+    rows = [[(1, 0), (1, 0)], [(1, 3), (1, 2)]]
+    certified = eps_limit_rows(rows)
+    assert certified == [[1, 1], [1, 5]]  # K = 1 + 2 * 2
+    assert det_sign_eps(certified) == 1
+    # and with the lower power carrying the minus sign
+    assert det_sign_eps(eps_limit_rows([[(1, 0), (1, 0)], [(1, 2), (1, 3)]])) == -1
 
 
 def test_det_sign_requires_square():
     with pytest.raises(DimensionError):
-        det_sign_eps(EpsMatrix(1, 2, [const(1), const(1)]))
+        det_sign_eps([[1, 1]])
 
 
 def test_det_sign_empty_matrix():
-    assert det_sign_eps(EpsMatrix(0, 0, [])) == 1
+    assert det_sign_eps([]) == 1
 
 
 def test_det_sign_matches_rational_determinant():
@@ -109,22 +62,47 @@ def test_det_sign_matches_rational_determinant():
         m = RatMatrix.from_rows(rows)
         expected = perm_det(rows)
         want = 1 if expected > 0 else -1 if expected < 0 else 0
-        assert det_sign_eps(m.to_eps()) == want
+        assert det_sign_eps(rows) == want
         assert det_rat(m) == expected
 
 
+def _random_monomial_rows(rng, rows, cols):
+    return [
+        [(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))), rng.randint(0, 4))
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
 def test_det_sign_matches_permutation_expansion_on_eps_entries():
+    # arbitrary monomial entries, not only the union supermatroid's shape:
+    # the certified eps gives every determinant its eps -> 0+ sign
     rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = _random_monomial_rows(rng, n, n)
+        assert det_sign_eps(eps_limit_rows(rows)) == eps_limit_det_sign(rows)
+
+
+def test_eps_limit_rows_keep_the_symbolic_rank():
+    rng = random.Random(101)
     for _ in range(150):
-        n = rng.randint(1, 3)
-        entries = []
-        for _ in range(n * n):
-            nterms = rng.randint(0, 2)
-            entries.append(
-                EpsPoly([(rng.randint(0, 4), rng.randint(-3, 3)) for _ in range(nterms)])
-            )
-        m = EpsMatrix(n, n, entries)
-        assert det_sign_eps(m) == eps_perm_det(m).sign_eps()
+        r, n = rng.randint(1, 3), rng.randint(1, 4)
+        rows = _random_monomial_rows(rng, r, n)
+        certified = eps_limit_rows(rows)
+        assert all(type(x) is int for row in certified for x in row)
+        # symbolic rank: the largest k with a k x k minor not identically 0
+        want = max(
+            (
+                k
+                for k in range(1, min(r, n) + 1)
+                for rs in itertools.combinations(range(r), k)
+                for cs in itertools.combinations(range(n), k)
+                if eps_limit_det_sign([[rows[i][j] for j in cs] for i in rs])
+            ),
+            default=0,
+        )
+        assert rank_rat(RatMatrix.from_rows(certified)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +126,21 @@ def test_rank_transpose_and_oracle():
         ) if rows else RatMatrix(0, cols, [])
         assert rank_rat(m) == rank_rat(m.transpose())
         assert rank_rat(m) == brute_rank(m)
-        assert rank_eps(m.to_eps()) == rank_rat(m)
 
 
 def test_rank_eps_symbolic():
     # rows (1, eps) and (eps, eps^2) are proportional over Q(eps)
-    m = EpsMatrix(2, 2, [const(1), eps(1, 1), eps(1, 1), eps(1, 2)])
-    assert rank_eps(m) == 1
-    m2 = EpsMatrix(2, 2, [const(1), eps(1, 1), eps(1, 1), const(1)])
-    assert rank_eps(m2) == 2
+    proportional = eps_limit_rows([[(1, 0), (1, 1)], [(1, 1), (1, 2)]])
+    assert rank_rat(RatMatrix.from_rows(proportional)) == 1
+    independent = eps_limit_rows([[(1, 0), (1, 1)], [(1, 1), (1, 0)]])
+    assert rank_rat(RatMatrix.from_rows(independent)) == 2
+
+
+def test_row_basis_keeps_first_independent_rows():
+    m = RatMatrix.from_rows([[1, 1], [2, 2], [0, 1], [1, 0]])
+    assert row_basis(m) == RatMatrix.from_rows([[1, 1], [0, 1]])
+    assert row_basis(RatMatrix.from_rows([[0, 0, 0]])) == RatMatrix(0, 3, [])
+    assert row_basis(RatMatrix(1, 0, [])) == RatMatrix(0, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nlpoly.errors import ContractViolation, DimensionError
+from nlpoly.errors import ContractViolation, DimensionError, NotARealizationError
 from nlpoly.om import (
     RealizedOM,
     SignVector,
@@ -13,7 +13,7 @@ from nlpoly.om import (
     nonneg_face_lattice,
     standardize,
 )
-from nlpoly.ratlin import EpsPoly, RatMatrix, det_sign_eps
+from nlpoly.ratlin import RatMatrix, det_sign_eps
 from nlpoly.union import (
     DUAL,
     NEITHER,
@@ -24,7 +24,8 @@ from nlpoly.union import (
     minor,
     restrict,
 )
-from suite import random_rat_matrix
+from oracles import eps_limit_chirotope, ranks_from_bases, symbolic_hat_rows
+from suite import random_rat_matrix, suite_matroids
 
 COLOOP = RealizedOM.from_rational(RatMatrix(1, 1, [1]))
 DIGON = RealizedOM.from_rational(RatMatrix(1, 2, [1, -1]))
@@ -34,29 +35,16 @@ def test_build_hat_coloop():
     h = build_hat(COLOOP)
     assert h.n == 1 and h.r == 1
     assert h.a_elems == (1,) and h.b_elems == ()
-    m = h.hat.matrix
-    assert (m.rows, m.cols) == (1, 2)
-    assert m.at(0, 0) == EpsPoly.const(1) and m.at(0, 1) == EpsPoly.const(1)
+    assert h.hat.matrix == RatMatrix(1, 2, [1, 1])
     assert h.hat.chirotope.signs == {(0,): 1, (1,): 1}
 
 
 def test_build_hat_digon_matrix_is_exact():
     h = build_hat(DIGON)
-    m = h.hat.matrix
-    assert (m.rows, m.cols) == (2, 4)
-    assert [m.at(0, j) for j in range(4)] == [
-        EpsPoly.const(1),
-        EpsPoly.const(-1),
-        EpsPoly.const(1),
-        EpsPoly(),
-    ]
-    # bottom block (-C^T | I | 0 | I) with column i scaled by eps^(2n-i)
-    assert [m.at(1, j) for j in range(4)] == [
-        EpsPoly.mono(1, 3),
-        EpsPoly.mono(1, 2),
-        EpsPoly(),
-        EpsPoly.mono(1, 0),
-    ]
+    # top row (I | C | I | 0); bottom row (-C^T | I | 0 | I) with column j
+    # scaled by eps^(3-j), taken at eps = 1/K with K = 1 + 3 * 3 (the
+    # product of the rows' l1 norms, plus one) and multiplied by K^3
+    assert h.hat.matrix == RatMatrix.from_rows([[1, -1, 1, 0], [1, 10, 0, 1000]])
     assert h.partner == {2: 0, 0: 2, 3: 1, 1: 3}
 
 
@@ -84,12 +72,53 @@ def test_hat_chirotope_matches_per_tuple_determinants():
         m = h.hat.matrix
         for sub in itertools.combinations(range(m.cols), m.rows):
             assert chi.signs[sub] in (-1, 0, 1)
-            direct = det_sign_eps(m.column_submatrix(sub))
+            direct = det_sign_eps(m.column_submatrix(sub).row_lists())
             # both sides are normalized consistently: the first nonzero
             # lexicographic tuple fixes the global sign
             first = next(s for s in sorted(chi.signs) if chi.signs[s])
-            flip = chi.signs[first] * det_sign_eps(m.column_submatrix(first))
+            flip = chi.signs[first] * det_sign_eps(m.column_submatrix(first).row_lists())
             assert chi.signs[sub] == flip * direct
+
+
+def _assert_hat_is_symbolic_limit(std, label, ranks=True):
+    """The certified hat's chirotope, and with ``ranks`` every column-subset
+    rank, against the symbolic eps -> 0+ limit of the union supermatroid."""
+    hat = build_hat(std).hat
+    want = eps_limit_chirotope(symbolic_hat_rows(std.matrix), hat.ground_size)
+    assert hat.chirotope.signs == want, label
+    if not ranks:
+        return
+    oracle = ranks_from_bases(hat.ground_size, [b for b, s in want.items() if s])
+    for mask, rank in enumerate(oracle):
+        cols = [e for e in range(hat.ground_size) if mask >> e & 1]
+        assert hat.column_rank(cols) == rank, (label, cols)
+
+
+def test_certified_hat_is_symbolic_limit_on_every_catalog_basis():
+    # Ranks of all 4,096 column subsets of a 12-column hat cost about
+    # 0.15 s each, so the two 6-element catalog matroids (32 bases) check
+    # them on their default basis only; their chirotopes, which fix the
+    # rank function, are checked on every basis.
+    for name, om, _ in suite_matroids():
+        for k, basis in enumerate(om.bases() or [()]):
+            std, _ = standardize(om, list(basis) if basis else None)
+            _assert_hat_is_symbolic_limit(std, (name, basis), om.ground_size < 6 or k == 0)
+
+
+def test_certified_hat_is_symbolic_limit_on_random_matrices():
+    rng = random.Random(59)
+    done = 0
+    while done < 25:
+        r = rng.randint(1, 3)
+        n = rng.randint(r, 5)
+        try:
+            om = RealizedOM.from_rational(random_rat_matrix(rng, r, n))
+        except NotARealizationError:
+            continue
+        done += 1
+        basis = rng.choice(om.bases())
+        std, _ = standardize(om, list(basis))
+        _assert_hat_is_symbolic_limit(std, basis)
 
 
 def test_hat_rank_doubles_ground():
@@ -233,7 +262,7 @@ def test_round_trip_on_parallel_pair():
 
 def test_hat_lattice_rank_equals_longest_chain():
     # the algebraic lattice rank (matroid rank minus off-support column
-    # rank) must agree with chain length even on eps-realized ground
+    # rank) must agree with chain length on the certified hat too
     std, _ = standardize(
         RealizedOM.from_rational(RatMatrix.from_rows([[1, 0, -1], [-1, 1, 0]]))
     )
