@@ -35,7 +35,7 @@ class CheckResult:
 def _mobius_sums_ok(lattice) -> bool:
     for x in lattice:
         total = sum(
-            lattice.mobius[y] for y in lattice if y.support <= x.support
+            lattice.mobius(y) for y in lattice if y.support <= x.support
         )
         if total != (1 if x is lattice.bottom else 0):
             return False

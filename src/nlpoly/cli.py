@@ -51,13 +51,12 @@ class RunConfig:
     oracle: str = ""
 
 
-def parse_matrix(path) -> RatMatrix:
-    """Read a matrix from JSON of shape {"rows": [[...]]}.
+def parse_matrix(text: str) -> RatMatrix:
+    """Parse a matrix from JSON text of shape {"rows": [[...]]}.
 
     Entries are integers or rational strings like "3/4"; rows must be
     rectangular.
     """
-    text = Path(path).read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,9 +88,8 @@ def parse_matrix(path) -> RatMatrix:
 def load_input(path: str):
     """Detect and parse the input file; returns (kind, digraph_or_matrix)."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return "matrix", parse_matrix(path)
+    if text.lstrip().startswith("{"):
+        return "matrix", parse_matrix(text)
     return "digraph", parse_digraph(text)
 
 
@@ -120,6 +118,8 @@ def _emit(config: RunConfig, payload: dict, text_lines):
 
 def run(config: RunConfig) -> int:
     """Execute one parsed command; returns the process exit status."""
+    if config.cap < 0:
+        raise ParseError(f"--cap must be nonnegative, got {config.cap}")
     try:
         kind, obj = load_input(config.input_path)
     except (OSError, UnicodeDecodeError) as exc:

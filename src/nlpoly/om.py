@@ -2,9 +2,9 @@
 
 A realized oriented matroid is a full-row-rank matrix over the
 rationals; its chirotope is read off as the determinant signs of column
-r-tuples.  From the chirotope we enumerate signed cocircuits, build the
-nonnegative face lattice ordered by support inclusion, and compute
-Moebius values from the bottom element.
+r-tuples.  From the chirotope we enumerate signed cocircuits and build
+the nonnegative face lattice ordered by support inclusion, whose
+Moebius values are read off its ranks.
 """
 
 from __future__ import annotations
@@ -128,22 +128,26 @@ class Chirotope:
 class FaceLattice:
     """Nonnegative covectors ordered by support inclusion.
 
-    ``elements`` always contains the zero vector (the bottom, rank 0,
-    Moebius value 1); ``rank_of`` and ``mobius`` map each element to its
-    lattice rank and its Moebius value from the bottom.
+    ``elements`` always contains the zero vector (the bottom, rank 0);
+    ``rank_of`` maps each element to its lattice rank.  Every interval
+    [0, X] is Eulerian (Bjoerner et al., *Oriented Matroids*, ch. 4), so
+    the Moebius value ``mobius(x)`` = mu(0, X) is (-1)^rank(X).
     """
 
-    __slots__ = ("elements", "rank_of", "mobius", "_index")
+    __slots__ = ("elements", "rank_of", "_index")
 
-    def __init__(self, elements, rank_of, mobius):
+    def __init__(self, elements, rank_of):
         self.elements = tuple(elements)
         self.rank_of = dict(rank_of)
-        self.mobius = dict(mobius)
         self._index = frozenset(x.signs for x in self.elements)
 
     @property
     def bottom(self) -> SignVector:
         return self.elements[0]
+
+    def mobius(self, x) -> int:
+        """mu(bottom, x) by the Eulerian closed form."""
+        return (-1) ** self.rank_of[x]
 
     def __contains__(self, x):
         return isinstance(x, SignVector) and x.signs in self._index
@@ -192,11 +196,12 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
 class RealizedOM:
     """An oriented matroid given by a full-row-rank exact realization."""
 
-    __slots__ = ("matrix", "chirotope", "labels", "_cocircuits", "_lattice")
+    __slots__ = ("matrix", "labels", "_chirotope", "_cocircuits", "_lattice")
 
     def __init__(self, matrix: RatMatrix, labels=None):
+        if _rank_rows(matrix.row_lists()) != matrix.rows:
+            raise NotARealizationError("matrix does not have full row rank")
         self.matrix = matrix
-        self.chirotope = chirotope_from_matrix(matrix)
         if labels is None:
             labels = tuple(range(matrix.cols))
         else:
@@ -204,12 +209,19 @@ class RealizedOM:
             if len(labels) != matrix.cols:
                 raise DimensionError("one label per ground element required")
         self.labels = labels
+        self._chirotope = None
         self._cocircuits = None
         self._lattice = None
 
     @classmethod
     def from_rational(cls, m: RatMatrix, labels=None) -> "RealizedOM":
         return cls(m, labels)
+
+    @property
+    def chirotope(self) -> Chirotope:
+        if self._chirotope is None:
+            self._chirotope = chirotope_from_matrix(self.matrix)
+        return self._chirotope
 
     @property
     def ground_size(self) -> int:
@@ -352,9 +364,7 @@ def nonneg_face_lattice(om: RealizedOM) -> FaceLattice:
         x = SignVector.from_support(n, s)
         elements.append(x)
         rank_of[x] = full_rank - om.column_rank(set(range(n)) - s)
-    mob = mobius_from_bottom(supports)
-    mobius = {x: mob[x.support] for x in elements}
-    om._lattice = FaceLattice(elements, rank_of, mobius)
+    om._lattice = FaceLattice(elements, rank_of)
     return om._lattice
 
 

@@ -141,26 +141,25 @@ def evaluate(p: TriPoly, x: int, y: int = 0, z: int = 0) -> int:
 
 
 def nl_coflow_matroid(om: RealizedOM) -> TriPoly:
-    """NL-coflow polynomial: Moebius-weighted sum over the dual's
-    nonnegative covectors with exponent rk(M / support)."""
+    """NL-coflow polynomial: Moebius-weighted sum over the dual's nonnegative
+    covectors X with exponent rk(M / X) = r - |X| + rank of X, by duality."""
     std, _ = standardize(om)
     r = std.rank
     lattice = nonneg_face_lattice(dual_realization(std))
     out = []
     for x in lattice:
-        out.append(((r - std.column_rank(x.support), 0, 0), lattice.mobius[x]))
+        out.append(((r - len(x.support) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
     return TriPoly(out)
 
 
 def nl_flow_matroid(om: RealizedOM) -> TriPoly:
-    """NL-flow polynomial: Moebius-weighted sum over the nonnegative
-    covectors with exponent rk*(M minus support)."""
-    n = om.ground_size
+    """NL-flow polynomial: Moebius-weighted sum over the nonnegative covectors
+    X with exponent rk*(M minus X) = n - r - |X| + rank of X, by duality."""
+    n, r = om.ground_size, om.rank
     lattice = nonneg_face_lattice(om)
     out = []
     for x in lattice:
-        rest = set(range(n)) - x.support
-        out.append(((len(rest) - om.column_rank(rest), 0, 0), lattice.mobius[x]))
+        out.append(((n - r - len(x.support) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
     return TriPoly(out)
 
 
@@ -175,7 +174,7 @@ def dichromate_from_hat(h) -> TriPoly:
         xexp = lattice.rank_of[x] + (n - supp_e)
         yexp = sum(1 for e in supp if n <= e < n + r)
         zexp = sum(1 for e in supp if e >= n + r)
-        out.append(((xexp, yexp, zexp), lattice.mobius[x]))
+        out.append(((xexp, yexp, zexp), lattice.mobius(x)))
     return TriPoly(out)
 
 

@@ -26,19 +26,17 @@ NEITHER = "neither"
 
 
 class HatMatroid:
-    """M, its union supermatroid, and the element bookkeeping between them."""
+    """M, its dual, its union supermatroid, and the bookkeeping between them."""
 
-    __slots__ = ("base", "hat", "e1", "e2", "a_elems", "b_elems", "partner", "_dual")
+    __slots__ = ("base", "base_dual", "hat", "a_elems", "b_elems", "partner")
 
-    def __init__(self, base, hat, e1, e2, a_elems, b_elems, partner):
+    def __init__(self, base, base_dual, hat, a_elems, b_elems, partner):
         self.base = base
+        self.base_dual = base_dual
         self.hat = hat
-        self.e1 = e1
-        self.e2 = e2
         self.a_elems = a_elems
         self.b_elems = b_elems
         self.partner = partner
-        self._dual = None
 
     @property
     def n(self) -> int:
@@ -47,12 +45,6 @@ class HatMatroid:
     @property
     def r(self) -> int:
         return self.base.rank
-
-    @property
-    def base_dual(self) -> RealizedOM:
-        if self._dual is None:
-            self._dual = dual_realization(self.base)
-        return self._dual
 
     def __repr__(self):
         return f"HatMatroid(n={self.n}, r={self.r})"
@@ -63,18 +55,13 @@ def build_hat(om: RealizedOM) -> HatMatroid:
     if not om.is_standard_form():
         raise ContractViolation("build_hat requires a standard-form realization (I_r | C)")
     r, n = om.rank, om.ground_size
-    m = om.matrix
+    dual = dual_realization(om)
     rows = []
-    for i in range(r):
-        coeffs = [m.at(i, j) for j in range(n)]
-        coeffs += [1 if j == i else 0 for j in range(r)]
-        coeffs += [0] * (n - r)
+    for i, row in enumerate(om.matrix.row_lists()):
+        coeffs = row + [1 if j == i else 0 for j in range(r)] + [0] * (n - r)
         rows.append([(c, 0) for c in coeffs])
-    for i in range(n - r):
-        coeffs = [-m.at(j, r + i) for j in range(r)]
-        coeffs += [1 if k == i else 0 for k in range(n - r)]
-        coeffs += [0] * r
-        coeffs += [1 if k == i else 0 for k in range(n - r)]
+    for i, row in enumerate(dual.matrix.row_lists()):
+        coeffs = row + [0] * r + [1 if k == i else 0 for k in range(n - r)]
         rows.append([(c, 2 * n - 1 - j) for j, c in enumerate(coeffs)])
     hat = RealizedOM(RatMatrix.from_rows(eps_limit_rows(rows)), labels=tuple(range(2 * n)))
     partner = {}
@@ -86,9 +73,8 @@ def build_hat(om: RealizedOM) -> HatMatroid:
         partner[r + i] = n + r + i
     return HatMatroid(
         base=om,
+        base_dual=dual,
         hat=hat,
-        e1=tuple(range(r)),
-        e2=tuple(range(r, n)),
         a_elems=tuple(range(n, n + r)),
         b_elems=tuple(range(n + r, 2 * n)),
         partner=partner,

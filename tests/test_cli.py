@@ -28,27 +28,26 @@ def _run(capsys, argv):
 # matrix parsing
 
 
-def test_parse_matrix_accepts_ints_and_fraction_strings(tmp_path):
-    path = _write(tmp_path, "m.json", '{"rows": [[1, "-3/4"], ["2", 0]]}')
-    m = parse_matrix(path)
+def test_parse_matrix_accepts_ints_and_fraction_strings():
+    m = parse_matrix('{"rows": [[1, "-3/4"], ["2", 0]]}')
     assert m.rows == 2 and m.cols == 2
     assert m.at(0, 1) * 4 == -3
 
 
-def test_parse_matrix_rejects_bad_input(tmp_path):
+def test_parse_matrix_rejects_bad_input():
     with pytest.raises(ParseError):
-        parse_matrix(_write(tmp_path, "a.json", '{"rows": [[1], [1, 2]]}'))
+        parse_matrix('{"rows": [[1], [1, 2]]}')
     with pytest.raises(ParseError):
-        parse_matrix(_write(tmp_path, "b.json", '{"rows": [[true]]}'))
+        parse_matrix('{"rows": [[true]]}')
     with pytest.raises(ParseError):
-        parse_matrix(_write(tmp_path, "c.json", '{"cols": []}'))
+        parse_matrix('{"cols": []}')
     with pytest.raises(ParseError) as exc:
-        parse_matrix(_write(tmp_path, "d.json", '{"rows": [[1,]]}'))
+        parse_matrix('{"rows": [[1,]]}')
     assert exc.value.line is not None
 
 
-def test_parse_matrix_empty(tmp_path):
-    m = parse_matrix(_write(tmp_path, "e.json", '{"rows": []}'))
+def test_parse_matrix_empty():
+    m = parse_matrix('{"rows": []}')
     assert (m.rows, m.cols) == (0, 0)
 
 
@@ -185,6 +184,14 @@ def test_exit_3_on_cap(tmp_path, capsys):
     assert code == 3
     code, _, _ = _run(capsys, ["dichromate", path, "--cap", "6"])
     assert code == 0
+
+
+def test_exit_2_on_negative_cap(tmp_path, capsys):
+    path = _write(tmp_path, "c3.digraph", CYCLE3)
+    for command in ("coflow", "flow", "dichromate", "check"):
+        code, out, err = _run(capsys, [command, path, "--cap", "-5"])
+        assert code == 2 and not out
+        assert err == "error: --cap must be nonnegative, got -5\n", command
 
 
 def test_matrix_rows_are_reduced_to_a_row_basis(tmp_path, capsys):

@@ -30,7 +30,7 @@ from oracles import (
     mobius_by_inversion,
     relabeled_chirotope,
 )
-from suite import random_rat_matrix
+from suite import catalog_hats, random_rat_matrix
 
 DIGON = RatMatrix(1, 2, [1, -1])
 PARALLEL = RatMatrix(1, 2, [1, 1])
@@ -193,11 +193,11 @@ def test_face_lattice_examples():
     assert [x.signs for x in par] == [(0, 0), (1, 1)]
     top = SignVector((1, 1))
     assert par.rank_of[top] == 1
-    assert par.mobius[top] == -1
+    assert par.mobius(top) == -1
 
     empty = nonneg_face_lattice(RealizedOM.from_rational(RatMatrix(0, 0, [])))
     assert list(empty) == [SignVector(())]
-    assert empty.mobius[SignVector(())] == 1
+    assert empty.mobius(SignVector(())) == 1
 
 
 def test_face_lattice_matches_bruteforce_nonneg_covectors():
@@ -264,12 +264,15 @@ def test_mobius_matches_inversion_oracle():
 
 
 def test_mobius_defining_identity_on_lattices():
+    # The Eulerian closed form (-1)^rank against the defining recursion
+    # (mobius_from_bottom), on random lattices and on every hat lattice of
+    # every catalog basis.
     rng = random.Random(47)
-    for _, om in _full_row_rank_matrices(rng, 12):
-        lattice = nonneg_face_lattice(om)
-        for x in lattice:
-            total = sum(lattice.mobius[y] for y in lattice if y.support <= x.support)
-            assert total == (1 if x == lattice.bottom else 0)
+    lattices = [nonneg_face_lattice(om) for _, om in _full_row_rank_matrices(rng, 12)]
+    lattices += [nonneg_face_lattice(h.hat) for _, _, h in catalog_hats()]
+    for lattice in lattices:
+        mob = mobius_from_bottom(x.support for x in lattice)
+        assert {x.support: lattice.mobius(x) for x in lattice} == mob
 
 
 # ---------------------------------------------------------------------------

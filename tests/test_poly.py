@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from nlpoly.digraph import Digraph, count_acyclic_colorings, matroid_from_digraph
+from nlpoly.digraph import (
+    Digraph,
+    count_acyclic_colorings,
+    matroid_from_digraph,
+    nl_coflow_graphic,
+)
 from nlpoly.om import RealizedOM, dual_realization, standardize
 from nlpoly.poly import (
     TriPoly,
@@ -16,7 +21,7 @@ from nlpoly.poly import (
     specialize,
 )
 from nlpoly.ratlin import RatMatrix
-from suite import TEST_DIGRAPHS, TEST_MATRICES, random_rat_matrix
+from suite import TEST_DIGRAPHS, TEST_MATRICES, random_digraphs, random_rat_matrix
 
 X = TriPoly.x
 CYCLE3 = matroid_from_digraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
@@ -195,3 +200,30 @@ def test_polynomials_survive_column_scaling_and_row_operations():
             mixed = [list(row) for row in rows]
             mixed[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
             assert _poly_texts(RatMatrix.from_rows(mixed)) == want, m
+
+
+def _arc_order_free_texts(d):
+    om = matroid_from_digraph(d)
+    poly, _ = dichromate(om)
+    return (
+        str(nl_coflow_graphic(d)),
+        str(nl_coflow_matroid(om)),
+        str(nl_flow_matroid(om)),
+        str(specialize(poly, 0, 1)),
+        str(specialize(poly, 1, 0)),
+    )
+
+
+def test_polynomials_survive_arc_permutations():
+    # Permuting the arcs relabels the ground set: coflow, flow and both
+    # specializations of the dichromate stay, though the default basis of
+    # the dichromate itself moves with the arcs.
+    rng = random.Random(89)
+    digraphs = [d for _, d in TEST_DIGRAPHS]
+    digraphs += random_digraphs(97, 15, max_vertices=4, max_arcs=6, allow_loops=True)
+    for d in digraphs:
+        want = _arc_order_free_texts(d)
+        for _ in range(2):
+            arcs = list(d.arcs)
+            rng.shuffle(arcs)
+            assert _arc_order_free_texts(Digraph(d.vertex_count, arcs)) == want, d

@@ -25,7 +25,7 @@ from nlpoly.union import (
     restrict,
 )
 from oracles import eps_limit_chirotope, ranks_from_bases, symbolic_hat_rows
-from suite import random_rat_matrix, suite_matroids
+from suite import catalog_hats, random_rat_matrix
 
 COLOOP = RealizedOM.from_rational(RatMatrix(1, 1, [1]))
 DIGON = RealizedOM.from_rational(RatMatrix(1, 2, [1, -1]))
@@ -80,11 +80,11 @@ def test_hat_chirotope_matches_per_tuple_determinants():
             assert chi.signs[sub] == flip * direct
 
 
-def _assert_hat_is_symbolic_limit(std, label, ranks=True):
+def _assert_hat_is_symbolic_limit(h, label, ranks=True):
     """The certified hat's chirotope, and with ``ranks`` every column-subset
     rank, against the symbolic eps -> 0+ limit of the union supermatroid."""
-    hat = build_hat(std).hat
-    want = eps_limit_chirotope(symbolic_hat_rows(std.matrix), hat.ground_size)
+    hat = h.hat
+    want = eps_limit_chirotope(symbolic_hat_rows(h.base.matrix), hat.ground_size)
     assert hat.chirotope.signs == want, label
     if not ranks:
         return
@@ -99,10 +99,10 @@ def test_certified_hat_is_symbolic_limit_on_every_catalog_basis():
     # 0.15 s each, so the two 6-element catalog matroids (32 bases) check
     # them on their default basis only; their chirotopes, which fix the
     # rank function, are checked on every basis.
-    for name, om, _ in suite_matroids():
-        for k, basis in enumerate(om.bases() or [()]):
-            std, _ = standardize(om, list(basis) if basis else None)
-            _assert_hat_is_symbolic_limit(std, (name, basis), om.ground_size < 6 or k == 0)
+    seen = set()
+    for name, basis, h in catalog_hats():
+        _assert_hat_is_symbolic_limit(h, (name, basis), h.n < 6 or name not in seen)
+        seen.add(name)
 
 
 def test_certified_hat_is_symbolic_limit_on_random_matrices():
@@ -118,7 +118,7 @@ def test_certified_hat_is_symbolic_limit_on_random_matrices():
         done += 1
         basis = rng.choice(om.bases())
         std, _ = standardize(om, list(basis))
-        _assert_hat_is_symbolic_limit(std, basis)
+        _assert_hat_is_symbolic_limit(build_hat(std), basis)
 
 
 def test_hat_rank_doubles_ground():
