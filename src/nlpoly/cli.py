@@ -61,6 +61,11 @@ def parse_matrix(text: str) -> RatMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # int() refuses an integer literal this long
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"an integer has more than {limit} digits") from None
     if not isinstance(data, dict) or "rows" not in data:
         raise ParseError('matrix JSON must be an object with a "rows" key')
     rows = data["rows"]
@@ -77,7 +82,13 @@ def parse_matrix(text: str) -> RatMatrix:
             if isinstance(value, int):
                 entries.append(value)
             elif isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-                entries.append(Fraction(value.strip()))
+                try:
+                    entries.append(Fraction(value.strip()))
+                except ValueError:  # the regex admits only the digit limit
+                    raise ParseError(
+                        f"entry ({i + 1},{j + 1}) has an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits"
+                    ) from None
             else:
                 raise ParseError(
                     f'entry ({i + 1},{j + 1}) must be an integer or "p/q" string, got {value!r}'

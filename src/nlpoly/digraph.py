@@ -9,6 +9,7 @@ can serve as ground truth for the lattice-based route.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceLimitError
@@ -38,6 +39,16 @@ class Digraph:
         return len(self.arcs)
 
 
+def _integer(field: str, line: int, column: int) -> int:
+    try:
+        return int(field)
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"an integer has more than {limit} digits", line=line, column=column
+        ) from None
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the text digraph format.
 
@@ -54,9 +65,9 @@ def parse_digraph(text: str) -> Digraph:
     if header_no is None:
         raise ParseError("empty digraph file", line=1, column=1)
     header = lines[header_no - 1].split()
-    if len(header) != 2 or header[0] != "digraph" or not header[1].lstrip("-").isdigit():
+    if len(header) != 2 or header[0] != "digraph" or not header[1].lstrip("-").isdecimal():
         raise ParseError("expected header 'digraph <vertexCount>'", line=header_no, column=1)
-    n = int(header[1])
+    n = _integer(header[1], header_no, 9)
     if n < 0:
         raise ParseError("vertex count must be nonnegative", line=header_no, column=9)
     arcs = []
@@ -65,15 +76,25 @@ def parse_digraph(text: str) -> Digraph:
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
-        if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
+        if len(fields) != 2 or not all(f.lstrip("-").isdecimal() for f in fields):
             raise ParseError("expected '<tail> <head>'", line=no, column=1)
-        t, h = int(fields[0]), int(fields[1])
+        t, h = _integer(fields[0], no, 1), _integer(fields[1], no, 1 + len(fields[0]) + 1)
         if not (0 <= t < n):
             raise ParseError(f"tail {t} out of range", line=no, column=1)
         if not (0 <= h < n):
             raise ParseError(f"head {h} out of range", line=no, column=1 + len(fields[0]) + 1)
         arcs.append((t, h))
     return Digraph(n, tuple(arcs))
+
+
+def _touched(d: Digraph):
+    """``d`` on just the vertices its arcs touch, renumbered in increasing
+    order, and the number of vertices dropped.  An untouched vertex adds
+    only a zero incidence row and a free color, so the routes below run on
+    this digraph and allocate nothing per vertex of the header."""
+    used = sorted({v for arc in d.arcs for v in arc})
+    new = {v: i for i, v in enumerate(used)}
+    return Digraph(len(used), [(new[t], new[h]) for t, h in d.arcs]), d.vertex_count - len(used)
 
 
 def incidence_matrix(d: Digraph) -> RatMatrix:
@@ -142,6 +163,7 @@ def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
     m = d.arc_count
     if m > cap:
         raise ResourceLimitError(f"{m} arcs exceed the enumeration cap {cap}")
+    d, _ = _touched(d)
     members = []
     for mask in range(1 << m):
         subset = frozenset(i for i in range(m) if mask >> i & 1)
@@ -158,7 +180,7 @@ def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
     minus the incidence rank of the subset's columns.
     """
     mobius = mobius_from_bottom(totally_cyclic_poset(d, cap))
-    inc = incidence_matrix(d)
+    inc = incidence_matrix(_touched(d)[0])
     full = rank_rat(inc)
     out = []
     for b, mu in mobius.items():
@@ -193,17 +215,20 @@ def count_acyclic_colorings(d: Digraph, k: int, budget=DEFAULT_COLORING_BUDGET) 
     """Exhaustively count colorings with no monochromatic directed cycle."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k**d.vertex_count > budget:
+    # k^n > budget, decided without building k^n: once n reaches the
+    # budget's bit length, k^n exceeds it for every k >= 2.
+    if k ** min(d.vertex_count, budget.bit_length()) > budget:
         raise ResourceLimitError(
             f"{k}^{d.vertex_count} colorings exceed the budget {budget}"
         )
+    touched, free = _touched(d)
     count = 0
-    for coloring in itertools.product(range(k), repeat=d.vertex_count):
+    for coloring in itertools.product(range(k), repeat=touched.vertex_count):
         ok = True
         for color in set(coloring):
             arcs = [
                 (t, h)
-                for t, h in d.arcs
+                for t, h in touched.arcs
                 if coloring[t] == color and coloring[h] == color
             ]
             if arcs and _class_has_cycle(arcs):
@@ -211,10 +236,10 @@ def count_acyclic_colorings(d: Digraph, k: int, budget=DEFAULT_COLORING_BUDGET) 
                 break
         if ok:
             count += 1
-    return count
+    return count * k**free
 
 
 def matroid_from_digraph(d: Digraph) -> RealizedOM:
     """The graphic oriented matroid: incidence matrix reduced to a
     full-row-rank realization (a lexicographically first row basis)."""
-    return RealizedOM.from_rational(row_basis(incidence_matrix(d)))
+    return RealizedOM.from_rational(row_basis(incidence_matrix(_touched(d)[0])))

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +229,61 @@ def test_invalid_basis_is_reported_1_based(tmp_path, capsys):
     assert err == "error: basis [1, 1] is not a set of valid column indices\n"
     code, _, err = _run(capsys, ["dichromate", path, "--basis", "1,2"])
     assert code == 2 and err.startswith("error: basis [1, 2] has size 2")
+
+
+def test_exit_2_on_input_that_python_refuses_to_convert(tmp_path, capsys):
+    long = "7" * 5000
+    inputs = {
+        "deep.json": '{"rows": ' + "[" * 100_000,
+        "long-int.json": '{"rows": [[' + long + "]]}",
+        "long-fraction.json": '{"rows": [["1/' + long + '"]]}',
+        "long-header.digraph": f"digraph {long}\n0 1\n",
+        "long-arc.digraph": f"digraph 3\n0 {long}\n",
+        "superscript.digraph": "digraph \u00b2\n",
+    }
+    for name, text in inputs.items():
+        code, out, err = _run(capsys, ["coflow", _write(tmp_path, name, text)])
+        assert code == 2 and not out, name
+        assert err.startswith("error: ") and err.count("\n") == 1, name
+
+
+# Runs every command on a header of 10**12 vertices in a child whose address
+# space is capped, so code that allocates per vertex fails there instead of
+# exhausting the host's memory.
+_HUGE_HEADER_CHILD = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from nlpoly.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append((code, out.getvalue(), err.getvalue(), time.perf_counter() - t0))
+print(json.dumps(runs))
+"""
+
+
+def test_vertex_count_of_the_header_costs_nothing(tmp_path, capsys):
+    commands = [
+        ["coflow"], ["coflow", "--oracle", "matroid"], ["coflow", "--oracle", "both"],
+        ["flow"], ["dichromate"], ["check"], ["check", "--format", "json"],
+        ["colorings", "--k", "1"], ["colorings", "--k", "2"],
+    ]
+    small = _write(tmp_path, "small.digraph", DIGON)
+    huge = _write(tmp_path, "huge.digraph", DIGON.replace("digraph 2", "digraph 1000000000000"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_HEADER_CHILD, json.dumps([c + [huge] for c in commands])],
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for command, (code, out, err, seconds) in zip(commands, json.loads(proc.stdout)):
+        assert seconds < 1.0, command
+        if code == 3:
+            assert not out and err.startswith("error: ") and err.count("\n") == 1, command
+        else:
+            assert (code, out, err) == _run(capsys, command + [small]), command

@@ -167,6 +167,17 @@ def test_coloring_budget_and_validation():
         count_acyclic_colorings(DIGON, 0)
 
 
+def test_coloring_budget_is_exact_without_building_k_to_the_n():
+    # 2^20 colorings of 20 isolated vertices: exactly at the budget, counted
+    # as 2^20 times the one coloring of no touched vertex
+    assert count_acyclic_colorings(Digraph(20, []), 2, budget=2**20) == 2**20
+    with pytest.raises(ResourceLimitError):
+        count_acyclic_colorings(Digraph(20, []), 2, budget=2**20 - 1)
+    with pytest.raises(ResourceLimitError):
+        count_acyclic_colorings(DIGON, 1, budget=0)
+    assert count_acyclic_colorings(Digraph(5, [(3, 1), (1, 3)]), 3) == 3**3 * 6
+
+
 def test_coloring_law_on_catalog():
     for name, d in TEST_DIGRAPHS:
         if any(t == h for t, h in d.arcs):
