@@ -10,7 +10,7 @@ coflow routes.  Hat-based checks run over every basis of the input.
 Each check is a generator that yields one outcome per case: None when
 the case holds, the failure detail when it does not.  ``run_checks``
 builds everything the checks read once, in one record per input and
-one per basis.
+one per basis; bases with the same standard form share its hat.
 """
 
 from __future__ import annotations
@@ -186,8 +186,7 @@ CHECKS = (
 )
 
 
-def _basis_record(om: RealizedOM, basis) -> BasisRecord:
-    std, _ = standardize(om, list(basis) if basis else None)
+def _basis_record(std: RealizedOM, basis) -> BasisRecord:
     h = build_hat(std)
     sides = (
         Side(PRIMAL, std, nonneg_face_lattice(std), lift_primal, h.a_elems, h.b_elems),
@@ -204,7 +203,14 @@ def run_checks(om: RealizedOM, digraph: Digraph | None = None, cap=DEFAULT_ENUME
             f"{n} elements exceed the cap {cap // 2} for the doubled ground set"
         )
     psi, phi = nl_coflow_matroid(om), nl_flow_matroid(om)
-    bases = [_basis_record(om, basis) for basis in om.bases() or [()]]
+    # Bases that share a standard form share its hat and all that is read
+    # off it; every check still runs once per basis.
+    records, bases = {}, []
+    for basis in om.bases() or [()]:
+        std, _ = standardize(om, list(basis) if basis else None)
+        if std.matrix.entries not in records:
+            records[std.matrix.entries] = _basis_record(std, basis)
+        bases.append(records[std.matrix.entries]._replace(basis=basis))
     dual = dual_realization(bases[0].hat.base)
     inp = InputRecord(om, dual, psi, phi, bases, digraph, cap)
     results = []

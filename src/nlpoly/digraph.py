@@ -65,7 +65,7 @@ def parse_digraph(text: str) -> Digraph:
     if header_no is None:
         raise ParseError("empty digraph file", line=1, column=1)
     header = lines[header_no - 1].split()
-    if len(header) != 2 or header[0] != "digraph" or not header[1].lstrip("-").isdecimal():
+    if len(header) != 2 or header[0] != "digraph" or not header[1].removeprefix("-").isdecimal():
         raise ParseError("expected header 'digraph <vertexCount>'", line=header_no, column=1)
     n = _integer(header[1], header_no, 9)
     if n < 0:
@@ -76,7 +76,7 @@ def parse_digraph(text: str) -> Digraph:
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
-        if len(fields) != 2 or not all(f.lstrip("-").isdecimal() for f in fields):
+        if len(fields) != 2 or not all(f.removeprefix("-").isdecimal() for f in fields):
             raise ParseError("expected '<tail> <head>'", line=no, column=1)
         t, h = _integer(fields[0], no, 1), _integer(fields[1], no, 1 + len(fields[0]) + 1)
         if not (0 <= t < n):

@@ -17,7 +17,7 @@ from .errors import (
     InvalidPosetError,
     NotARealizationError,
 )
-from .ratlin import RatMatrix, _rank_rows, det_sign_eps, integer_row, standard_form
+from .ratlin import RatMatrix, det_sign_eps, echelon, integer_row, standard_form
 
 
 class SignVector:
@@ -56,9 +56,6 @@ class SignVector:
         return SignVector(
             tuple(a if a else b for a, b in zip(self.signs, other.signs))
         )
-
-    def restrict(self, positions) -> "SignVector":
-        return SignVector(tuple(self.signs[i] for i in positions))
 
     def is_nonnegative(self) -> bool:
         return all(s >= 0 for s in self.signs)
@@ -196,10 +193,12 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
 class RealizedOM:
     """An oriented matroid given by a full-row-rank exact realization."""
 
-    __slots__ = ("matrix", "labels", "_chirotope", "_cocircuits", "_lattice")
+    __slots__ = ("matrix", "labels", "_rows", "_chirotope", "_cocircuits", "_lattice")
 
     def __init__(self, matrix: RatMatrix, labels=None):
-        if _rank_rows(matrix.row_lists()) != matrix.rows:
+        # ranks are taken on the rows cleared of denominators, in integers
+        self._rows = [integer_row(row) for row in matrix.row_lists()]
+        if len(echelon(self._rows)[0]) != matrix.rows:
             raise NotARealizationError("matrix does not have full row rank")
         self.matrix = matrix
         if labels is None:
@@ -241,7 +240,8 @@ class RealizedOM:
 
     def column_rank(self, cols) -> int:
         """Rank of the column submatrix on ``cols``."""
-        return _rank_rows(self.matrix.column_submatrix(sorted(cols)).row_lists())
+        cols = sorted(cols)
+        return len(echelon([[row[j] for j in cols] for row in self._rows])[0])
 
     def bases(self):
         return self.chirotope.bases()
@@ -381,13 +381,9 @@ def dual_realization(om: RealizedOM) -> RealizedOM:
     if not om.is_standard_form():
         raise ContractViolation("dual_realization requires a standard-form realization")
     r, n = om.rank, om.ground_size
-    m = om.matrix
-    rows = []
-    for i in range(n - r):
-        row = [-m.at(j, r + i) for j in range(r)]
-        row += [1 if k == i else 0 for k in range(n - r)]
-        rows.append(row)
-    dual_matrix = RatMatrix(n - r, n, [x for row in rows for x in row])
+    c_t = om.matrix.column_submatrix(range(r, n)).transpose().row_lists()
+    rows = zip(c_t, RatMatrix.identity(n - r).row_lists())
+    dual_matrix = RatMatrix(n - r, n, [x for c, i in rows for x in [-y for y in c] + i])
     return RealizedOM.from_rational(dual_matrix, om.labels)
 
 
@@ -398,14 +394,7 @@ def standardize(om: RealizedOM, basis=None):
     permuted position i, and ``std_om.labels`` carries the original
     labels along.
     """
-    m = om.matrix
-    perm, c_block = standard_form(m, basis)
-    r = c_block.rows
-    rows = []
-    for i in range(r):
-        row = [1 if j == i else 0 for j in range(r)]
-        row += [c_block.at(i, j) for j in range(c_block.cols)]
-        rows.append(row)
-    std_matrix = RatMatrix(r, m.cols, [x for row in rows for x in row])
-    labels = tuple(om.labels[p] for p in perm)
-    return RealizedOM.from_rational(std_matrix, labels), perm
+    perm, c_block = standard_form(om.matrix, basis)
+    rows = zip(RatMatrix.identity(c_block.rows).row_lists(), c_block.row_lists())
+    std_matrix = RatMatrix(c_block.rows, om.ground_size, [x for i, c in rows for x in i + c])
+    return RealizedOM.from_rational(std_matrix, tuple(om.labels[p] for p in perm)), perm

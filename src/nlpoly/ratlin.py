@@ -7,8 +7,9 @@ positive infinitesimal eps is never handled symbolically; instead
 small enough for every minor to have its eps -> 0+ sign and rank, and
 clears the powers of 1/eps0 into integer entries.
 
-Determinants use Bareiss (fraction-free) elimination, whose divisions
-are exact; ranks use division-free cross-multiplication elimination.
+Two elimination kernels do all the work: ``echelon`` (division-free, for
+ranks, row bases and minors) and Bareiss determinants (exact divisions),
+from which the standard form takes its C-block by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -92,31 +93,33 @@ class RatMatrix:
 # elimination kernels on plain row lists
 
 
-def _rank_rows(rows) -> int:
-    """Rank of a list of rational rows, division-free cross-multiplication.
+def echelon(rows):
+    """Row echelon form by division-free cross-multiplication.
 
-    Scaling a row by a nonzero number never changes the rank.
+    Returns ``(pivots, rows)``: the increasing pivot columns, which are the
+    lexicographically first column basis, and the nonzero echelon rows,
+    which span the row space and are zero left of their pivots.
     """
     a = [list(r) for r in rows]
-    if not a or not a[0]:
-        return 0
-    m, n = len(a), len(a[0])
-    pr = 0
+    m, n = len(a), len(a[0]) if a else 0
+    pivots = []
     for c in range(n):
+        pr = len(pivots)
+        if pr == m:
+            break
         piv = next((i for i in range(pr, m) if a[i][c]), None)
         if piv is None:
             continue
         a[pr], a[piv] = a[piv], a[pr]
-        pk = a[pr][c]
+        ap = a[pr]
+        pk = ap[c]
         for i in range(pr + 1, m):
             f = a[i][c]
             if f:
-                ai, ap = a[i], a[pr]
+                ai = a[i]
                 a[i] = [pk * ai[j] - f * ap[j] for j in range(n)]
-        pr += 1
-        if pr == m:
-            break
-    return pr
+        pivots.append(c)
+    return pivots, a[: len(pivots)]
 
 
 def _det_rows_number(rows):
@@ -176,17 +179,16 @@ def det_rat(m: RatMatrix):
 
 def rank_rat(m: RatMatrix) -> int:
     """Rank over the rationals."""
-    return _rank_rows(m.row_lists())
+    return len(echelon(m.row_lists())[0])
 
 
 def row_basis(m: RatMatrix) -> RatMatrix:
-    """The rows of ``m`` kept by a greedy pass: its lexicographically first
-    row basis, a full-row-rank matrix with the same row space."""
-    kept = []
-    for row in m.row_lists():
-        if _rank_rows(kept + [row]) > len(kept):
-            kept.append(row)
-    return RatMatrix(len(kept), m.cols, [x for row in kept for x in row])
+    """The lexicographically first row basis of ``m``: the rows at the
+    pivots of its transpose, a full-row-rank matrix with the same row
+    space."""
+    rows = m.row_lists()
+    kept = echelon(m.transpose().row_lists())[0]
+    return RatMatrix(len(kept), m.cols, [x for i in kept for x in rows[i]])
 
 
 def integer_row(row):
@@ -225,45 +227,32 @@ def standard_form(m: RatMatrix, basis=None):
     Returns ``(perm, C)`` where ``perm`` lists the original column of
     each permuted position (basis columns first) and row-reducing
     ``m[:, perm]`` yields ``(I_r | C)``.  When ``basis`` is omitted the
-    lexicographically smallest column basis is used; a supplied basis
-    is kept in the order given.
+    lexicographically smallest column basis, the echelon pivots, is
+    used; a supplied basis is kept in the order given.
+
+    (I_r | C) is B^-1 times the echelon rows, B their basis columns, so
+    Cramer's rule gives C[i][q] = det(B with column i replaced by column
+    q) / det(B) on those rows cleared of denominators; a supplied basis
+    is dependent exactly when det(B) = 0.
     """
-    r = rank_rat(m)
+    pivots, rows = echelon(integer_row(row) for row in m.row_lists())
+    r = len(pivots)
     if basis is None:
-        chosen = []
-        for j in range(m.cols):
-            if rank_rat(m.column_submatrix(chosen + [j])) > len(chosen):
-                chosen.append(j)
-                if len(chosen) == r:
-                    break
-        basis = chosen
+        basis = pivots
     else:
         basis = list(basis)
-        if len(set(basis)) != len(basis) or any(
-            not (0 <= j < m.cols) for j in basis
-        ):
+        if len(set(basis)) != len(basis) or not all(0 <= j < m.cols for j in basis):
             raise InvalidBasisError(basis, "is not a set of valid column indices")
         if len(basis) != r:
             raise InvalidBasisError(basis, f"has size {len(basis)}, matroid rank is {r}")
-        if rank_rat(m.column_submatrix(basis)) != r:
-            raise InvalidBasisError(basis, "is a dependent column set")
+    b = [[row[j] for j in basis] for row in rows]
+    det_b = _det_rows_number(b)
+    if det_b == 0:
+        raise InvalidBasisError(basis, "is a dependent column set")
     rest = [j for j in range(m.cols) if j not in set(basis)]
-    perm = tuple(basis) + tuple(rest)
-
-    rows = [[Fraction(x) for x in row] for row in m.row_lists()]
-    pivot_rows = []
-    used = set()
-    for col in basis:
-        pr = next(i for i in range(len(rows)) if i not in used and rows[i][col])
-        pk = rows[pr][col]
-        rows[pr] = [x / pk for x in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivot_rows.append(pr)
-        used.add(pr)
-    c_block = RatMatrix(
-        r, len(rest), [rows[pr][j] for pr in pivot_rows for j in rest]
-    )
-    return perm, c_block
+    c_block = []
+    for i in range(r):
+        for q in rest:
+            b_iq = [x[:i] + [row[q]] + x[i + 1 :] for x, row in zip(b, rows)]
+            c_block.append(Fraction(_det_rows_number(b_iq), det_b))
+    return tuple(basis) + tuple(rest), RatMatrix(r, len(rest), c_block)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import ContractViolation, DimensionError
 from .om import RealizedOM, SignVector, dual_realization, nonneg_face_lattice
-from .ratlin import RatMatrix, eps_limit_rows, row_basis
+from .ratlin import RatMatrix, echelon, eps_limit_rows
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -84,43 +84,26 @@ def build_hat(om: RealizedOM) -> HatMatroid:
 def minor(om: RealizedOM, delete=(), contract=()) -> RealizedOM:
     """Delete and contract ground elements of a realized oriented matroid.
 
-    Contracting a non-loop pivots its column to a unit vector (lowest
-    nonzero row) and removes that row and column; contracting a loop,
-    or deleting any element, just removes the column.  No further
-    elements are removed, so loops and parallels may appear.  The
-    result is re-reduced to a full-row-rank realization.
+    The contraction by C is realized by the row-space vectors that vanish
+    on C.  With the deleted columns dropped and the contracted ones put
+    first, those vectors are spanned by the echelon rows whose pivot lies
+    past C; the result is these rows without the columns of C, a
+    full-row-rank realization.  No further elements are removed, so
+    loops and parallels may appear.
     """
-    delete = set(delete)
-    contract = set(contract)
+    delete, contract = set(delete), set(contract)
     if delete & contract:
         raise DimensionError("delete and contract sets must be disjoint")
-    n = om.ground_size
-    if any(not (0 <= e < n) for e in delete | contract):
+    gone = delete | contract
+    if any(not (0 <= e < om.ground_size) for e in gone):
         raise DimensionError("element position out of range")
-    rows = om.matrix.row_lists()
-    live = list(range(n))
-    for cid in sorted(contract):
-        j = live.index(cid)
-        piv = next((i for i in range(len(rows)) if rows[i][j]), None)
-        if piv is None:
-            # loop: contraction = deletion of the column
-            live.pop(j)
-            rows = [row[:j] + row[j + 1 :] for row in rows]
-            continue
-        p = rows[piv][j]
-        for i in range(len(rows)):
-            if i != piv and rows[i][j]:
-                f = rows[i][j]
-                rows[i] = [p * a - f * b for a, b in zip(rows[i], rows[piv])]
-        rows.pop(piv)
-        live.pop(j)
-        rows = [row[:j] + row[j + 1 :] for row in rows]
-    if delete:
-        keep = [k for k, cid in enumerate(live) if cid not in delete]
-        live = [live[k] for k in keep]
-        rows = [[row[k] for k in keep] for row in rows]
-    matrix = row_basis(RatMatrix(len(rows), len(live), [x for row in rows for x in row]))
-    return RealizedOM(matrix, labels=tuple(om.labels[cid] for cid in live))
+    live = [e for e in range(om.ground_size) if e not in gone]
+    order = sorted(contract) + live
+    k = len(contract)
+    pivots, rows = echelon([row[j] for j in order] for row in om.matrix.row_lists())
+    kept = [row[k:] for p, row in zip(pivots, rows) if p >= k]
+    matrix = RatMatrix(len(kept), len(live), [x for row in kept for x in row])
+    return RealizedOM(matrix, labels=tuple(om.labels[e] for e in live))
 
 
 def lift_primal(x: SignVector, h: HatMatroid) -> SignVector:

@@ -9,13 +9,11 @@ that every check passes on them.
 
 import ast
 import re
-import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from nlpoly import checks
 from nlpoly.cli import _realize, main
@@ -24,11 +22,6 @@ from nlpoly.om import FaceLattice, SignVector
 from nlpoly.ratlin import RatMatrix
 from nlpoly.union import DUAL, PRIMAL, HatMatroid
 from suite import TEST_DIGRAPHS
-
-# With no database Hypothesis still caches the constants it reads from
-# source files, while pytest collects; keep that cache out of the tree.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # digon-pendant (0->1, 1->0, 1->2) has nonnegative cocircuits on both
 # sides of every hat, rank 2 of 3 and a digraph for oracle-agreement.

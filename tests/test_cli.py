@@ -247,6 +247,16 @@ def test_exit_2_on_input_that_python_refuses_to_convert(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
+def test_exit_2_on_more_than_one_minus_sign(tmp_path, capsys):
+    inputs = {
+        "digraph --5\n": "error: expected header 'digraph <vertexCount>' (line 1, column 1)\n",
+        "digraph 3\n--1 2\n": "error: expected '<tail> <head>' (line 2, column 1)\n",
+    }
+    for text, message in inputs.items():
+        code, out, err = _run(capsys, ["coflow", _write(tmp_path, "minus.digraph", text)])
+        assert (code, out, err) == (2, "", message), text
+
+
 # Runs every command on a header of 10**12 vertices in a child whose address
 # space is capped, so code that allocates per vertex fails there instead of
 # exhausting the host's memory.
