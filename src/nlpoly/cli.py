@@ -5,7 +5,8 @@ Subcommands: ``coflow``, ``flow``, ``dichromate``, ``colorings`` and
 header, one ``<tail> <head>`` arc per line) or matrix JSON files
 (``{"rows": [[...]]}`` with integers or "p/q" strings).  Exit codes:
 0 success, 1 failed check, 2 malformed or unreadable input or usage, 3
-cap or budget exceeded, 4 violated internal invariant.
+cap or budget exceeded, 4 violated internal invariant or any other
+internal error.
 """
 
 from __future__ import annotations
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return 3
     except ContractViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a defect: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -173,6 +173,27 @@ def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
     return tuple(members)
 
 
+def subset_rank(d: Digraph, arc_subset) -> int:
+    """Incidence rank of the columns of ``arc_subset``: the vertices they
+    touch minus their connected components, which is the number of arcs
+    a union-find pass joins across two components."""
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for i in arc_subset:
+        t, h = (find(v) for v in d.arcs[i])
+        if t != h:
+            parent[t] = h
+            rank += 1
+    return rank
+
+
 def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
     """NL-coflow polynomial straight from the totally-cyclic subset poset.
 
@@ -180,13 +201,8 @@ def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
     minus the incidence rank of the subset's columns.
     """
     mobius = mobius_from_bottom(totally_cyclic_poset(d, cap))
-    inc = incidence_matrix(_touched(d)[0])
-    full = rank_rat(inc)
-    out = []
-    for b, mu in mobius.items():
-        rank_b = rank_rat(inc.column_submatrix(sorted(b)))
-        out.append(((full - rank_b, 0, 0), mu))
-    return TriPoly(out)
+    full = rank_rat(incidence_matrix(_touched(d)[0]))
+    return TriPoly(((full - subset_rank(d, b), 0, 0), mu) for b, mu in mobius.items())
 
 
 def _class_has_cycle(arcs) -> bool:
@@ -212,18 +228,23 @@ def _class_has_cycle(arcs) -> bool:
 
 
 def count_acyclic_colorings(d: Digraph, k: int, budget=DEFAULT_COLORING_BUDGET) -> int:
-    """Exhaustively count colorings with no monochromatic directed cycle."""
+    """Exhaustively count colorings with no monochromatic directed cycle.
+
+    Only the vertices some arc touches are enumerated, k^(touched) colorings
+    within ``budget``; each other vertex multiplies the count by k.  A count
+    with more decimal digits than Python converts to text (its default limit
+    when conversion is unlimited) raises ``ResourceLimitError``.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    touched, free = _touched(d)
+    n = touched.vertex_count
     # k^n > budget, decided without building k^n: once n reaches the
     # budget's bit length, k^n exceeds it for every k >= 2.
-    if k ** min(d.vertex_count, budget.bit_length()) > budget:
-        raise ResourceLimitError(
-            f"{k}^{d.vertex_count} colorings exceed the budget {budget}"
-        )
-    touched, free = _touched(d)
+    if k ** min(n, budget.bit_length()) > budget:
+        raise ResourceLimitError(f"{k}^{n} colorings exceed the budget {budget}")
     count = 0
-    for coloring in itertools.product(range(k), repeat=touched.vertex_count):
+    for coloring in itertools.product(range(k), repeat=n):
         ok = True
         for color in set(coloring):
             arcs = [
@@ -236,6 +257,14 @@ def count_acyclic_colorings(d: Digraph, k: int, budget=DEFAULT_COLORING_BUDGET) 
                 break
         if ok:
             count += 1
+    if not count or k == 1:
+        return count
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # k^free >= 2^((bits(k) - 1) * free), and 2^(4 * digits) > 10^digits
+    if (k.bit_length() - 1) * free > 4 * digits or count * k**free >= 10**digits:
+        raise ResourceLimitError(
+            f"the count {count} * {k}^{free} has more than {digits} digits"
+        )
     return count * k**free
 
 

@@ -1,15 +1,17 @@
 """Oriented-matroid combinatorics from an exact realization.
 
 A realized oriented matroid is a full-row-rank matrix over the
-rationals; its chirotope is read off as the determinant signs of column
-r-tuples.  From the chirotope we enumerate signed cocircuits and build
-the nonnegative face lattice ordered by support inclusion, whose
-Moebius values are read off its ranks.
+rationals; its chirotope is the sign map of its maximal minors, all read
+off one Laplace pass over the echelon rows, which shares every sub-minor
+between column r-tuples.  From the chirotope we enumerate signed
+cocircuits and build the nonnegative face lattice ordered by support
+inclusion, whose Moebius values are read off its ranks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     ContractViolation,
@@ -17,7 +19,7 @@ from .errors import (
     InvalidPosetError,
     NotARealizationError,
 )
-from .ratlin import RatMatrix, det_sign_eps, echelon, integer_row, standard_form
+from .ratlin import RatMatrix, det_sign_eps, echelon, integer_row, sign_of, standard_form
 
 
 class SignVector:
@@ -166,27 +168,68 @@ class FaceLattice:
 def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
     """Chirotope of the column oriented matroid of a full-row-rank matrix.
 
-    Globally negated if needed so the lexicographically first basis is +1.
+    Every maximal minor comes from one Laplace pass over the echelon rows
+    E of ``m`` (denominators cleared): walking E bottom-up, each nonzero
+    minor of the last k rows on a column set T is extended by every
+    column j outside T where the next row is nonzero, with the sign of
+    j's insertion position in T.  Row echelon steps multiply every
+    maximal minor by one common nonzero factor, so the signs agree with
+    those of ``m`` up to a global flip; the staircase zeros of E keep
+    the partial minors of the last k rows to column sets that fit under
+    its pivots.  Every r-tuple keeps an entry, zeros included.
+
+    Globally negated if needed so the lexicographically first basis, the
+    echelon pivots, is +1.  Two Bareiss determinants of ``m`` itself, at
+    the pivots and at the last nonzero tuple, must multiply to the
+    pass's product there, or ``ContractViolation`` is raised.
     """
     r, n = m.rows, m.cols
     if r > n:
         raise NotARealizationError(f"{r} rows cannot be independent among {n} columns")
-    # Clearing each row's denominators scales every maximal minor by the
-    # same positive integer, and keeps Bareiss in integer arithmetic.
     rows = [integer_row(row) for row in m.row_lists()]
-    signs = {
-        sub: det_sign_eps([[row[j] for j in sub] for row in rows])
-        for sub in itertools.combinations(range(n), r)
-    }
-    flip = 0
-    for sub in sorted(signs):
-        if signs[sub]:
-            flip = signs[sub]
-            break
-    if flip == 0 and r > 0:
+    pivots, ech = echelon(rows)
+    if len(pivots) < r:
         raise NotARealizationError("matrix does not have full row rank")
-    if flip < 0:
-        signs = {t: -s for t, s in signs.items()}
+    if r == 0:
+        return Chirotope(n, 0, {(): 1})
+    # Each echelon row is divisible by the pivots above it; dividing out its
+    # positive content keeps the partial minors near the size of true minors.
+    ech = [[x // g for x in row] for row in ech for g in [math.gcd(*row)]]
+    minors = {(): 1}
+    for row in reversed(ech[1:]):
+        entries = [(j, x) for j, x in enumerate(row) if x]
+        wider = {}
+        for t, v in minors.items():
+            if not v:
+                continue
+            pos = 0  # elements of t below j
+            for j, x in entries:
+                while pos < len(t) and t[pos] < j:
+                    pos += 1
+                if pos < len(t) and t[pos] == j:
+                    continue
+                s = t[:pos] + (j,) + t[pos:]
+                wider[s] = wider.get(s, 0) + (-x * v if pos & 1 else x * v)
+        minors = wider
+    # The top row closes one r-tuple at a time, so the full minors, the
+    # largest numbers of the pass, are never stored together.
+    top = ech[0]
+    signs = {}
+    for sub in itertools.combinations(range(n), r):
+        total = 0
+        for pos, j in enumerate(sub):
+            if top[j]:
+                v = minors.get(sub[:pos] + sub[pos + 1 :])
+                if v:
+                    total += -top[j] * v if pos & 1 else top[j] * v
+        signs[sub] = sign_of(total)
+    first = tuple(pivots)
+    last = max(sub for sub, s in signs.items() if s)
+    spot = [det_sign_eps([[row[j] for j in sub] for row in rows]) for sub in (first, last)]
+    if spot[0] * spot[1] != signs[first] * signs[last]:
+        raise ContractViolation("chirotope: Laplace pass and Bareiss determinants disagree")
+    if signs[first] < 0:
+        signs = {sub: -s for sub, s in signs.items()}
     return Chirotope(n, r, signs)
 
 
@@ -265,27 +308,29 @@ def cocircuits(om: RealizedOM):
         return om._cocircuits
     chi = om.chirotope
     n, r = chi.ground_size, chi.rank
-    loops = {
-        j
-        for j in range(n)
-        if all(not om.matrix.at(i, j) for i in range(om.rank))
-    }
     seen = {}
     if r > 0:
         for sub in itertools.combinations(range(n), r - 1):
-            rest = [e for e in range(n) if e not in sub]
-            support = [e for e in rest if chi.signs[tuple(sorted(sub + (e,)))]]
-            if not support:
+            # chi(e, *sub) is chi of sub with e inserted, times the parity of
+            # moving e past the elements of sub below it
+            values = {}
+            pos = 0
+            for e in range(n):
+                if pos < r - 1 and sub[pos] == e:
+                    pos += 1
+                    continue
+                v = chi.signs[sub[:pos] + (e,) + sub[pos:]]
+                if v:
+                    values[e] = -v if pos & 1 else v
+            if not values:
                 continue  # sub is dependent
-            key = frozenset(support)
+            key = frozenset(values)
             if key in seen:
                 continue
-            anchor = support[0]
-            s_anchor = chi((anchor,) + sub)
+            s_anchor = values[min(values)]
             signs = [0] * n
-            for e in support:
-                signs[e] = s_anchor * chi((e,) + sub)
-            assert all(e not in loops for e in support)
+            for e, v in values.items():
+                signs[e] = s_anchor * v
             seen[key] = SignVector(tuple(signs))
     out = []
     for d in seen.values():

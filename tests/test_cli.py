@@ -115,6 +115,25 @@ def test_colorings(tmp_path, capsys):
     assert code == 0 and out == "2\n"
 
 
+def test_colorings_bound_the_answer_not_the_untouched_vertices(tmp_path, capsys):
+    # 4 colorings of the digon are enumerated; each other vertex doubles the count
+    path = _write(tmp_path, "wide.digraph", DIGON.replace("digraph 2", "digraph 2000"))
+    assert _run(capsys, ["colorings", path, "--k", "2"]) == (0, f"{2**1999}\n", "")
+    path = _write(tmp_path, "wider.digraph", DIGON.replace("digraph 2", "digraph 200000"))
+    digits = sys.get_int_max_str_digits()
+    message = f"error: the count 2 * 2^199998 has more than {digits} digits\n"
+    assert _run(capsys, ["colorings", path, "--k", "2"]) == (3, "", message)
+
+
+def test_exit_4_on_an_unexpected_exception(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("nlpoly.cli.nl_coflow_graphic", broken)
+    path = _write(tmp_path, "digon.digraph", DIGON)
+    assert _run(capsys, ["coflow", path]) == (4, "", "internal error: RuntimeError: boom\n")
+
+
 def test_check_passes_on_digraph(tmp_path, capsys):
     path = _write(tmp_path, "digon.digraph", DIGON)
     code, out, _ = _run(capsys, ["check", path])

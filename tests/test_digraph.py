@@ -3,6 +3,7 @@ counting oracles."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from nlpoly.digraph import (
     matroid_from_digraph,
     nl_coflow_graphic,
     parse_digraph,
+    subset_rank,
     totally_cyclic_poset,
 )
 from nlpoly.errors import ParseError, ResourceLimitError
@@ -79,7 +81,7 @@ def test_incidence_rank_equals_vertices_minus_components():
         for size in range(min(3, d.arc_count) + 1):
             for subset in itertools.combinations(indices, size):
                 got = rank_rat(inc.column_submatrix(subset))
-                assert got == subset_rank_from_components(d, subset)
+                assert got == subset_rank(d, subset) == subset_rank_from_components(d, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +164,31 @@ def test_coloring_monotone_in_k():
 
 def test_coloring_budget_and_validation():
     with pytest.raises(ResourceLimitError):
-        count_acyclic_colorings(Digraph(4, []), 3, budget=10)
+        count_acyclic_colorings(CYCLE3, 3, budget=10)
     with pytest.raises(ValueError):
         count_acyclic_colorings(DIGON, 0)
 
 
 def test_coloring_budget_is_exact_without_building_k_to_the_n():
-    # 2^20 colorings of 20 isolated vertices: exactly at the budget, counted
-    # as 2^20 times the one coloring of no touched vertex
-    assert count_acyclic_colorings(Digraph(20, []), 2, budget=2**20) == 2**20
+    # the budget is charged for the 2^2 colorings of the digon's touched
+    # vertices only; 20 isolated vertices multiply the count by 2^20 for free
+    digon20 = Digraph(22, [(0, 1), (1, 0)])
+    assert count_acyclic_colorings(digon20, 2, budget=4) == 2 * 2**20
     with pytest.raises(ResourceLimitError):
-        count_acyclic_colorings(Digraph(20, []), 2, budget=2**20 - 1)
+        count_acyclic_colorings(digon20, 2, budget=3)
+    assert count_acyclic_colorings(Digraph(20, []), 2, budget=1) == 2**20
     with pytest.raises(ResourceLimitError):
         count_acyclic_colorings(DIGON, 1, budget=0)
     assert count_acyclic_colorings(Digraph(5, [(3, 1), (1, 3)]), 3) == 3**3 * 6
+
+
+def test_coloring_count_is_bounded_by_the_digits_python_prints():
+    # 90 colorings of the digon with 10 colors, times 10 per other vertex
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    longest = Digraph(digits, [(0, 1), (1, 0)])
+    assert str(count_acyclic_colorings(longest, 10)) == "90" + "0" * (digits - 2)
+    with pytest.raises(ResourceLimitError):
+        count_acyclic_colorings(Digraph(digits + 1, [(0, 1), (1, 0)]), 10)
 
 
 def test_coloring_law_on_catalog():

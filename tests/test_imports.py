@@ -1,9 +1,13 @@
-"""Every module of the package reads every name it imports.
+"""Every module of the package reads every name it imports, and none
+uses ``assert``.
 
 A refactor that moves work between functions easily leaves an import
 behind.  This guard parses each module of ``src/nlpoly`` and fails on an
 imported name that the module never reads.  ``__init__.py`` is exempt:
 its imports are the package's re-exports.
+
+``python -O`` strips ``assert`` statements, so the package states its
+invariants as checks that raise ``ContractViolation`` instead.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nlpoly"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +41,17 @@ def test_module_reads_every_import(path):
 def test_guard_reports_unread_imports():
     source = "import os.path\nimport sys\nfrom .x import a, b as c\nprint(a, sys.argv)\n"
     assert unused_imports(source) == ["c", "os"]
+
+
+def assert_lines(source: str) -> list:
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_has_no_assert(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_guard_reports_asserts():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'never'\n") == [3]

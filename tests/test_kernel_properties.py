@@ -2,9 +2,10 @@
 
 Draws rational matrices up to 4x6, with dependent rows and zero columns
 mixed in, and compares ``rank_rat``, ``echelon``, ``row_basis``,
-``standard_form`` and ``union.minor`` with the oracles of
-``tests/oracles.py``: ranks by nonsingular minors and covectors by
-orthogonality to the signed circuits.
+``standard_form``, ``union.minor``, the chirotope and the cocircuits with
+the oracles of ``tests/oracles.py``: ranks by nonsingular minors,
+covectors by orthogonality to the signed circuits, and chirotopes by one
+determinant per column tuple.
 """
 
 import itertools
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlpoly.errors import InvalidBasisError
-from nlpoly.om import RealizedOM, SignVector
-from nlpoly.ratlin import RatMatrix, echelon, rank_rat, row_basis, standard_form
+from nlpoly.errors import InvalidBasisError, NotARealizationError
+from nlpoly.om import RealizedOM, SignVector, chirotope_from_matrix, cocircuits
+from nlpoly.ratlin import RatMatrix, det_sign_eps, echelon, rank_rat, row_basis, standard_form
 from nlpoly.union import minor
-from oracles import all_covectors, brute_rank
+from oracles import all_covectors, brute_cocircuits, brute_rank
 
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -37,6 +38,15 @@ def _matrices(draw):
         for row in m:
             row[z] = 0
     return RatMatrix(rows, cols, [x for row in m for x in row])
+
+
+@st.composite
+def _wide(draw):
+    """Matrices of r <= 4 rows and r to r + 3 columns, of any rank."""
+    rows = draw(st.integers(0, 4))
+    cols = rows + draw(st.integers(0, 3))
+    entries = draw(st.lists(_fractions, min_size=rows * cols, max_size=rows * cols))
+    return RatMatrix(rows, cols, entries)
 
 
 def _greedy(count, rank):
@@ -120,3 +130,42 @@ def test_minor_covectors_vanish_on_the_contraction(m, data):
         if not any(x.signs[e] for e in contract)
     }
     assert all_covectors(out.matrix) == want
+
+
+@_SETTINGS
+@given(_wide())
+def test_chirotope_is_the_normalized_minor_signs(m):
+    rows = m.row_lists()
+    raw = {
+        sub: det_sign_eps([[row[j] for j in sub] for row in rows])
+        for sub in itertools.combinations(range(m.cols), m.rows)
+    }
+    flip = next((s for _, s in sorted(raw.items()) if s), 0)
+    if m.rows and not flip:
+        with pytest.raises(NotARealizationError):
+            chirotope_from_matrix(m)
+        return
+    chi = chirotope_from_matrix(m)
+    assert (chi.ground_size, chi.rank) == (m.cols, m.rows)
+    assert chi.signs == {sub: s * (flip or 1) for sub, s in raw.items()}
+
+
+@_SETTINGS
+@given(_wide(), st.data())
+def test_chirotope_rejects_dependent_rows(m, data):
+    if not m.rows:
+        return
+    rows = m.row_lists()
+    a, b = data.draw(_fractions), data.draw(_fractions)
+    rows[0] = [a * x + b * y for x, y in zip(rows[-1], rows[len(rows) // 2])]
+    if len(rows) == 1:
+        rows[0] = [0] * m.cols
+    with pytest.raises(NotARealizationError):
+        chirotope_from_matrix(RatMatrix.from_rows(rows))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_matrices())
+def test_cocircuits_are_the_minimal_covectors(m):
+    om = RealizedOM(row_basis(m))
+    assert set(cocircuits(om)) == brute_cocircuits(om.matrix)

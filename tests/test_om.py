@@ -21,7 +21,7 @@ from nlpoly.om import (
     nonneg_face_lattice,
     standardize,
 )
-from nlpoly.ratlin import RatMatrix, eps_limit_rows
+from nlpoly.ratlin import RatMatrix, det_sign_eps, eps_limit_rows
 from oracles import (
     brute_cocircuits,
     brute_nonneg_covectors,
@@ -103,6 +103,19 @@ def test_chirotope_rejects_rank_deficiency():
         chirotope_from_matrix(RatMatrix(2, 2, [1, 1, 1, 1]))
     with pytest.raises(NotARealizationError):
         chirotope_from_matrix(RatMatrix(2, 1, [1, 1]))
+
+
+def test_chirotope_spot_check_raises_on_a_disagreeing_determinant(monkeypatch):
+    signs = []
+
+    def first_flipped(rows):
+        signs.append(det_sign_eps(rows))
+        return -signs[-1] if len(signs) == 1 else signs[-1]
+
+    monkeypatch.setattr("nlpoly.om.det_sign_eps", first_flipped)
+    with pytest.raises(ContractViolation):
+        chirotope_from_matrix(CYCLE3)
+    assert len(signs) == 2
 
 
 def test_chirotope_alternation_and_duplicates():
