@@ -14,7 +14,6 @@ from .digraph import (
     Digraph,
     count_acyclic_colorings,
     incidence_matrix,
-    is_totally_cyclic,
     matroid_from_digraph,
     nl_coflow_graphic,
     parse_digraph,

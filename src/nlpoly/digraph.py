@@ -2,8 +2,10 @@
 
 This module is deliberately independent of the matroid pipeline: the
 NL-coflow polynomial is computed here straight from its subset-poset
-definition, and acyclic colorings are counted by exhaustion, so both
-can serve as ground truth for the lattice-based route.
+definition, whose members, the totally cyclic arc subsets, are the
+unions of directed cycles; and acyclic colorings are counted by
+exhaustion.  So both can serve as ground truth for the lattice-based
+route.
 """
 
 from __future__ import annotations
@@ -106,69 +108,45 @@ def incidence_matrix(d: Digraph) -> RatMatrix:
     return RatMatrix(d.vertex_count, d.arc_count, [x for row in rows for x in row])
 
 
-def _scc_ids(n, arcs):
-    """Strongly connected component id per vertex (iterative Kosaraju)."""
-    adj = [[] for _ in range(n)]
-    radj = [[] for _ in range(n)]
-    for t, h in arcs:
-        adj[t].append(h)
-        radj[h].append(t)
-    order = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, 0)]
-        seen[s] = True
-        while stack:
-            v, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, i + 1))
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-    comp = [-1] * n
-    cid = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            v = stack.pop()
-            for w in radj[v]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    stack.append(w)
-        cid += 1
-    return comp
+def _cycle_unions(d: Digraph) -> set:
+    """Every union of directed cycles of ``d`` as an arc bitmask.
 
-
-def is_totally_cyclic(d: Digraph, arc_subset) -> bool:
-    """True iff every chosen arc lies on a directed cycle of the chosen
-    subdigraph, i.e. joins vertices of one strongly connected component."""
-    chosen = [d.arcs[i] for i in arc_subset]
-    if not chosen:
-        return True
-    comp = _scc_ids(d.vertex_count, chosen)
-    return all(comp[t] == comp[h] for t, h in chosen)
+    Each cycle is found once, by a depth-first walk from its least vertex
+    through higher vertices only; a loop, and each choice among parallel
+    arcs, is a cycle of its own.  Every union found so far is extended by
+    each new cycle.
+    """
+    out = [[] for _ in range(d.vertex_count)]
+    for i, (t, h) in enumerate(d.arcs):
+        out[t].append((h, 1 << i))
+    unions = {0}
+    for s in range(d.vertex_count):
+        stack = [(s, 0, 1 << s)]  # (vertex, arcs walked, vertices walked)
+        while stack:
+            v, arcs, seen = stack.pop()
+            for w, bit in out[v]:
+                if w == s:
+                    cycle = arcs | bit
+                    unions |= {x | cycle for x in unions}
+                elif w > s and not seen >> w & 1:
+                    stack.append((w, arcs | bit, seen | 1 << w))
+    return unions
 
 
 def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
     """Every totally cyclic arc subset (including the empty one) as a
-    frozenset, sorted by size and then by elements."""
+    frozenset, sorted by size and then by elements.
+
+    A subset is totally cyclic when each of its arcs lies on a directed
+    cycle inside it, so these subsets are exactly the unions of directed
+    cycles.
+    """
     m = d.arc_count
     if m > cap:
         raise ResourceLimitError(f"{m} arcs exceed the enumeration cap {cap}")
-    d, _ = _touched(d)
-    members = []
-    for mask in range(1 << m):
-        subset = frozenset(i for i in range(m) if mask >> i & 1)
-        if is_totally_cyclic(d, subset):
-            members.append(subset)
+    members = [
+        frozenset(i for i in range(m) if mask >> i & 1) for mask in _cycle_unions(_touched(d)[0])
+    ]
     members.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(members)
 

@@ -271,6 +271,29 @@ def has_cycle_recursive(vertex_count, arcs) -> bool:
     return any(state[v] == 0 and visit(v) for v in range(vertex_count))
 
 
+def _reaches(arcs, source, target) -> bool:
+    seen, frontier = {source}, [source]
+    while frontier:
+        v = frontier.pop()
+        for t, h in arcs:
+            if t == v and h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return target in seen
+
+
+def brute_totally_cyclic(d):
+    """Every arc subset in which each arc's head reaches its tail along
+    arcs of the subset, as frozensets sorted by size and then elements."""
+    out = []
+    for size in range(d.arc_count + 1):
+        for subset in itertools.combinations(range(d.arc_count), size):
+            arcs = [d.arcs[i] for i in subset]
+            if all(_reaches(arcs, h, t) for t, h in arcs):
+                out.append(frozenset(subset))
+    return tuple(out)
+
+
 def subset_rank_from_components(d, arc_subset) -> int:
     """Incidence rank of an arc subset as |touched vertices| - #components."""
     verts = set()

@@ -11,7 +11,6 @@ from nlpoly.digraph import (
     Digraph,
     count_acyclic_colorings,
     incidence_matrix,
-    is_totally_cyclic,
     matroid_from_digraph,
     nl_coflow_graphic,
     parse_digraph,
@@ -22,7 +21,7 @@ from nlpoly.errors import ParseError, ResourceLimitError
 from nlpoly.om import mobius_from_bottom
 from nlpoly.poly import TriPoly, evaluate, nl_coflow_matroid
 from nlpoly.ratlin import RatMatrix, rank_rat
-from oracles import has_cycle_recursive, subset_rank_from_components
+from oracles import brute_totally_cyclic, has_cycle_recursive, subset_rank_from_components
 from suite import TEST_DIGRAPHS, random_digraphs
 
 X = TriPoly.x
@@ -89,10 +88,13 @@ def test_incidence_rank_equals_vertices_minus_components():
 
 
 def test_is_totally_cyclic_examples():
-    assert is_totally_cyclic(CYCLE3, set())
-    assert not is_totally_cyclic(Digraph(2, [(0, 1)]), {0})
-    assert is_totally_cyclic(DIGON, {0, 1})
-    assert is_totally_cyclic(Digraph(1, [(0, 0)]), {0})
+    assert frozenset() in totally_cyclic_poset(CYCLE3)
+    assert frozenset({0}) not in totally_cyclic_poset(Digraph(2, [(0, 1)]))
+    assert frozenset({0, 1}) in totally_cyclic_poset(DIGON)
+    assert frozenset({0}) in totally_cyclic_poset(Digraph(1, [(0, 0)]))
+    # a path into a cycle: the cycle is a member, the cycle with its tail is not
+    lollipop = totally_cyclic_poset(Digraph(3, [(0, 1), (1, 2), (2, 1)]))
+    assert frozenset({1, 2}) in lollipop and frozenset({0, 1, 2}) not in lollipop
 
 
 def test_totally_cyclic_poset_examples():
@@ -112,6 +114,26 @@ def test_totally_cyclic_poset_cap():
     with pytest.raises(ResourceLimitError):
         totally_cyclic_poset(big)
     totally_cyclic_poset(big, cap=17)  # explicit override works
+
+
+def test_totally_cyclic_poset_is_brute_force_on_loops_and_parallels():
+    # arcs drawn uniformly from all n^2 ordered pairs: loops and parallel
+    # arcs are common, and so are overlapping cycles
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+        d = Digraph(n, arcs)
+        assert totally_cyclic_poset(d) == brute_totally_cyclic(d), d
+
+
+def test_totally_cyclic_poset_counts():
+    for k in range(7):  # any set of loops is a union of loops
+        assert len(totally_cyclic_poset(Digraph(1, [(0, 0)] * k))) == 2**k
+    for p in range(5):  # a nonempty choice each way, or nothing
+        for q in range(5):
+            d = Digraph(2, [(0, 1)] * p + [(1, 0)] * q)
+            assert len(totally_cyclic_poset(d)) == (2**p - 1) * (2**q - 1) + 1
 
 
 def test_totally_cyclic_union_closure():
@@ -202,17 +224,10 @@ def test_coloring_law_on_catalog():
 
 
 def test_class_cycle_detection_matches_recursive_dfs():
-    rng = random.Random(314)
     for d in random_digraphs(314, 30, allow_loops=True):
-        # a digraph is totally-cyclic-free iff ... compare the two cycle
-        # detectors on the whole arc set
-        whole = set(range(d.arc_count))
-        via_scc = is_totally_cyclic(d, whole)
+        # the poset has a nonempty member iff the digraph has a directed cycle
         has_cycle = has_cycle_recursive(d.vertex_count, d.arcs)
-        if via_scc and d.arc_count:
-            assert has_cycle  # every arc on a cycle certainly makes one
-        if not has_cycle:
-            assert not via_scc or not d.arc_count
+        assert (len(totally_cyclic_poset(d)) > 1) == has_cycle
         # and the coloring counter agrees with the recursive detector at k=1
         expected = 0 if has_cycle else 1
         assert count_acyclic_colorings(d, 1) == expected
