@@ -138,14 +138,14 @@ def run(config: RunConfig) -> int:
         raise ParseError(f"cannot read {config.input_path}: {exc}") from None
     if not config.oracle:
         config.oracle = "matroid" if kind == "matrix" else "graphic"
+    if config.command == "coflow" and kind == "matrix" and config.oracle != "matroid":
+        raise ParseError("matrix inputs support only --oracle matroid")
+    if config.command != "colorings":
+        # before any realization: the incidence matrix alone can be costly
+        ground_size = obj.arc_count if kind == "digraph" else obj.cols
+        _check_cap(ground_size, config.cap, doubled=config.command in ("dichromate", "check"))
 
     if config.command == "coflow":
-        if kind == "matrix" and config.oracle != "matroid":
-            raise ParseError("matrix inputs support only --oracle matroid")
-        if kind == "digraph":
-            _check_cap(obj.arc_count, config.cap, doubled=False)
-        else:
-            _check_cap(obj.cols, config.cap, doubled=False)
         if config.oracle == "graphic":
             poly = nl_coflow_graphic(obj, config.cap)
             _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
@@ -171,18 +171,14 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "flow":
-        om = _realize(kind, obj)
-        _check_cap(om.ground_size, config.cap, doubled=False)
-        poly = nl_flow_matroid(om)
+        poly = nl_flow_matroid(_realize(kind, obj))
         _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
         return 0
 
     if config.command == "dichromate":
-        om = _realize(kind, obj)
-        _check_cap(om.ground_size, config.cap, doubled=True)
         basis0 = None if config.basis is None else [b - 1 for b in config.basis]
         try:
-            poly, basis_used = dichromate(om, basis0)
+            poly, basis_used = dichromate(_realize(kind, obj), basis0)
         except InvalidBasisError as exc:
             # restate the columns in the 1-based terms of --basis
             raise InvalidBasisError([c + 1 for c in exc.columns], exc.reason) from None
@@ -263,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    basis = None
-    if getattr(args, "basis", None):
-        try:
-            basis = tuple(int(b) for b in args.basis.split(","))
+    basis = getattr(args, "basis", None)
+    if basis is not None:
+        try:  # an empty --basis is the empty basis, valid only at rank 0
+            basis = tuple(int(b) for b in basis.split(",")) if basis else ()
         except ValueError:
             print("error: --basis expects comma-separated integers", file=sys.stderr)
             return 2

@@ -38,10 +38,6 @@ class SignVector:
     def zero(cls, size) -> "SignVector":
         return cls((0,) * size)
 
-    @classmethod
-    def from_support(cls, size, support, sign=1) -> "SignVector":
-        return cls(tuple(sign if i in support else 0 for i in range(size)))
-
     @property
     def size(self) -> int:
         return len(self.signs)
@@ -125,23 +121,24 @@ class Chirotope:
 
 
 class FaceLattice:
-    """Nonnegative covectors ordered by support inclusion.
+    """Nonnegative covectors, each given by its support, ordered by inclusion.
 
-    ``elements`` always contains the zero vector (the bottom, rank 0);
-    ``rank_of`` maps each element to its lattice rank.  Every interval
-    [0, X] is Eulerian (Bjoerner et al., *Oriented Matroids*, ch. 4), so
-    the Moebius value ``mobius(x)`` = mu(0, X) is (-1)^rank(X).
+    A nonnegative covector is determined by its support, so ``elements``
+    holds frozensets, by size and then sorted contents, starting with the
+    bottom ``frozenset()`` (the zero covector, rank 0); ``rank_of`` maps
+    each to its lattice rank.  Every interval [0, X] is Eulerian
+    (Bjoerner et al., *Oriented Matroids*, ch. 4), so the Moebius value
+    ``mobius(x)`` = mu(0, X) is (-1)^rank(X).
     """
 
-    __slots__ = ("elements", "rank_of", "_index")
+    __slots__ = ("elements", "rank_of")
 
     def __init__(self, elements, rank_of):
         self.elements = tuple(elements)
         self.rank_of = dict(rank_of)
-        self._index = frozenset(x.signs for x in self.elements)
 
     @property
-    def bottom(self) -> SignVector:
+    def bottom(self) -> frozenset:
         return self.elements[0]
 
     def mobius(self, x) -> int:
@@ -149,7 +146,7 @@ class FaceLattice:
         return (-1) ** self.rank_of[x]
 
     def __contains__(self, x):
-        return isinstance(x, SignVector) and x.signs in self._index
+        return x in self.rank_of
 
     def __iter__(self):
         return iter(self.elements)
@@ -389,26 +386,22 @@ def mobius_from_bottom(members) -> dict:
 
 
 def nonneg_face_lattice(om: RealizedOM) -> FaceLattice:
-    """The lattice of nonnegative covectors of ``om``.
+    """The lattice of nonnegative covectors of ``om``, as their supports.
 
     Nonnegative covectors are exactly the compositions of nonnegative
-    cocircuits, i.e. the unions of their supports; lattice rank comes
-    from rank(om) - rank of the columns off the support.
+    cocircuits, so their supports are the unions of the nonnegative
+    cocircuits' supports; lattice rank comes from rank(om) - rank of the
+    columns off the support.
     """
     if om._lattice is not None:
         return om._lattice
-    n = om.ground_size
-    gens = [d.support for d in cocircuits(om) if d.is_nonnegative()]
     supports = {frozenset()}
-    for g in gens:
-        supports |= {s | g for s in supports}
-    full_rank = om.rank
-    elements = []
-    rank_of = {}
-    for s in sorted(supports, key=lambda s: (len(s), sorted(s))):
-        x = SignVector.from_support(n, s)
-        elements.append(x)
-        rank_of[x] = full_rank - om.column_rank(set(range(n)) - s)
+    for d in cocircuits(om):
+        if d.is_nonnegative():
+            supports |= {s | d.support for s in supports}
+    ground = set(range(om.ground_size))
+    elements = sorted(supports, key=lambda s: (len(s), sorted(s)))
+    rank_of = {s: om.rank - om.column_rank(ground - s) for s in elements}
     om._lattice = FaceLattice(elements, rank_of)
     return om._lattice
 

@@ -148,7 +148,7 @@ def nl_coflow_matroid(om: RealizedOM) -> TriPoly:
     lattice = nonneg_face_lattice(dual_realization(std))
     out = []
     for x in lattice:
-        out.append(((r - len(x.support) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
+        out.append(((r - len(x) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
     return TriPoly(out)
 
 
@@ -159,7 +159,7 @@ def nl_flow_matroid(om: RealizedOM) -> TriPoly:
     lattice = nonneg_face_lattice(om)
     out = []
     for x in lattice:
-        out.append(((n - r - len(x.support) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
+        out.append(((n - r - len(x) + lattice.rank_of[x], 0, 0), lattice.mobius(x)))
     return TriPoly(out)
 
 
@@ -169,11 +169,10 @@ def dichromate_from_hat(h) -> TriPoly:
     lattice = nonneg_face_lattice(h.hat)
     out = []
     for x in lattice:
-        supp = x.support
-        supp_e = sum(1 for e in supp if e < n)
+        supp_e = sum(1 for e in x if e < n)
         xexp = lattice.rank_of[x] + (n - supp_e)
-        yexp = sum(1 for e in supp if n <= e < n + r)
-        zexp = sum(1 for e in supp if e >= n + r)
+        yexp = sum(1 for e in x if n <= e < n + r)
+        zexp = sum(1 for e in x if e >= n + r)
         out.append(((xexp, yexp, zexp), lattice.mobius(x)))
     return TriPoly(out)
 

@@ -10,14 +10,14 @@ contracting A and deleting B recovers the dual.  The realization is
 built at a rational eps certified small enough for every minor to have
 its eps -> 0+ sign and rank (``ratlin.eps_limit_rows``), so the union
 supermatroid is an ordinary integer-matrix realization.  Nonnegative
-covectors of M and of the dual lift into the supermatroid's face
-lattice and restrict back out of it.
+covectors of M and of the dual, each given by its support, lift into
+the supermatroid's face lattice and restrict back out of it.
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, DimensionError
-from .om import RealizedOM, SignVector, dual_realization, nonneg_face_lattice
+from .om import RealizedOM, dual_realization, nonneg_face_lattice
 from .ratlin import RatMatrix, echelon, eps_limit_rows
 
 PRIMAL = "primal"
@@ -106,57 +106,41 @@ def minor(om: RealizedOM, delete=(), contract=()) -> RealizedOM:
     return RealizedOM(matrix, labels=tuple(om.labels[e] for e in live))
 
 
-def lift_primal(x: SignVector, h: HatMatroid) -> SignVector:
+def lift_primal(x: frozenset, h: HatMatroid) -> frozenset:
     """Lift a nonnegative covector of the base matroid into the supermatroid.
 
-    The lift keeps the support on E and adds the A-partners of the
-    supported basis elements, all with positive sign.
+    ``x`` is the covector's support; the lift keeps it on E and adds the
+    A-partners of the supported basis elements.
     """
-    if x.size != h.n:
-        raise DimensionError("covector size does not match the base ground set")
     if x not in nonneg_face_lattice(h.base):
         raise ContractViolation("not a nonnegative covector of the base matroid")
-    signs = list(x.signs) + [0] * h.n
-    for e in x.support:
-        if e < h.r:
-            signs[h.partner[e]] = 1
-    return SignVector(tuple(signs))
+    return x | {h.partner[e] for e in x if e < h.r}
 
 
-def lift_dual(x: SignVector, h: HatMatroid) -> SignVector:
+def lift_dual(x: frozenset, h: HatMatroid) -> frozenset:
     """Lift a nonnegative covector of the dual matroid into the supermatroid.
 
-    Dual to ``lift_primal``: adds the B-partners of the supported
-    cobasis elements.
+    Dual to ``lift_primal``: adds to the support ``x`` the B-partners of
+    the supported cobasis elements.
     """
-    if x.size != h.n:
-        raise DimensionError("covector size does not match the dual ground set")
     if x not in nonneg_face_lattice(h.base_dual):
         raise ContractViolation("not a nonnegative covector of the dual matroid")
-    signs = list(x.signs) + [0] * h.n
-    for e in x.support:
-        if e >= h.r:
-            signs[h.partner[e]] = 1
-    return SignVector(tuple(signs))
+    return x | {h.partner[e] for e in x if e >= h.r}
 
 
-def restrict(xhat: SignVector, h: HatMatroid):
+def restrict(xhat: frozenset, h: HatMatroid):
     """Restrict a nonnegative supermatroid covector back to the ground set E.
 
-    Returns ``(side, x)``: ``(PRIMAL, x)`` when the support avoids B
-    (x is then a nonnegative covector of the base; the zero covector
-    reports PRIMAL by convention), ``(DUAL, x)`` when it avoids A only,
-    and ``(NEITHER, None)`` when it meets both A and B.
+    ``xhat`` is the covector's support.  Returns ``(side, x)`` with x the
+    support on E: ``(PRIMAL, x)`` when ``xhat`` avoids B (x is then a
+    nonnegative covector of the base; the empty support reports PRIMAL
+    by convention), ``(DUAL, x)`` when it avoids A only, and
+    ``(NEITHER, None)`` when it meets both A and B.
     """
-    if xhat.size != 2 * h.n:
-        raise DimensionError("covector size does not match the supermatroid ground set")
-    if not xhat.is_nonnegative():
-        raise ContractViolation("restrict expects a nonnegative covector")
-    meets_a = any(e in xhat.support for e in h.a_elems)
-    meets_b = any(e in xhat.support for e in h.b_elems)
+    if any(not 0 <= e < 2 * h.n for e in xhat):
+        raise DimensionError("support element out of range of the supermatroid ground set")
+    meets_a = not xhat.isdisjoint(h.a_elems)
+    meets_b = not xhat.isdisjoint(h.b_elems)
     if meets_a and meets_b:
         return NEITHER, None
-    x = SignVector(xhat.signs[: h.n])
-    if meets_b:
-        return DUAL, x
-    return PRIMAL, x
+    return (DUAL if meets_b else PRIMAL), frozenset(e for e in xhat if e < h.n)

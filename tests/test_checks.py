@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nlpoly import checks
 from nlpoly.cli import _realize, main
 from nlpoly.digraph import Digraph, matroid_from_digraph
-from nlpoly.om import FaceLattice, SignVector
+from nlpoly.om import FaceLattice
 from nlpoly.ratlin import RatMatrix
 from nlpoly.union import DUAL, PRIMAL, HatMatroid
 from suite import TEST_DIGRAPHS
@@ -42,11 +42,9 @@ PER_BASIS = {
 
 def _with_extra(lift, block):
     def lift_plus_one(x, h):
-        signs = list(lift(x, h).signs)
-        free = [e for e in getattr(h, block) if not signs[e]]
-        if free:
-            signs[free[0]] = 1
-        return SignVector(signs)
+        lifted = lift(x, h)
+        free = [e for e in getattr(h, block) if e not in lifted]
+        return lifted | set(free[:1])
 
     return lift_plus_one
 
@@ -89,7 +87,7 @@ BREAKS = {
     "cocircuit-lifting": ("lift_primal", lambda real: _with_extra(real, "a_elems")),
     "lattice-rank-preservation": ("lift_dual", lambda real: _with_extra(real, "b_elems")),
     "covector-restriction": (
-        "restrict", lambda real: lambda xhat, h: (PRIMAL, SignVector(xhat.signs[: h.n]))
+        "restrict", lambda real: lambda xhat, h: (PRIMAL, frozenset(e for e in xhat if e < h.n))
     ),
     "lift-restrict-round-trip": (
         "restrict",

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from nlpoly import cli
 from nlpoly.cli import main, parse_matrix
 from nlpoly.errors import ParseError
 
@@ -206,6 +207,27 @@ def test_exit_3_on_cap(tmp_path, capsys):
     assert code == 3
     code, _, _ = _run(capsys, ["dichromate", path, "--cap", "6"])
     assert code == 0
+
+
+def test_cap_is_checked_before_the_input_is_realized(tmp_path, capsys, monkeypatch):
+    def unreachable(kind, obj):
+        raise RuntimeError("realized an over-cap input")
+
+    monkeypatch.setattr(cli, "_realize", unreachable)
+    path = _write(tmp_path, "c3.digraph", CYCLE3)
+    for command, cap in (("flow", "2"), ("dichromate", "5"), ("check", "5")):
+        code, out, err = _run(capsys, [command, path, "--cap", cap])
+        assert (code, out) == (3, ""), (command, err)
+        assert "cap" in err, command
+
+
+def test_empty_basis_is_the_empty_basis(tmp_path, capsys):
+    path = _write(tmp_path, "c3.digraph", CYCLE3)
+    code, out, err = _run(capsys, ["dichromate", path, "--basis="])
+    assert (code, out) == (2, "")
+    assert err == "error: basis [] has size 0, matroid rank is 2\n"
+    path = _write(tmp_path, "blank.json", '{"rows": [[]]}')
+    assert _run(capsys, ["dichromate", path, "--basis", ""]) == (0, "1\nbasis: \n", "")
 
 
 def test_exit_2_on_negative_cap(tmp_path, capsys):

@@ -4,9 +4,12 @@ On drawn digraphs the coflow polynomial is rebuilt from oracles alone:
 totally cyclic subsets by reachability, Moebius values by solving the
 incidence system, and subset ranks by counting components.  It must
 equal the graphic route, the matroid route and the coflow
-specialization of the dichromate.  On drawn matrices the hat
-chirotope must equal the eps -> 0+ limit of the symbolic union
-supermatroid at a drawn basis.
+specialization of the dichromate.  On drawn matrices the flow
+polynomial is rebuilt the same way, from the brute-force nonnegative
+covectors, the same Moebius values and brute-force column ranks; it
+must equal the face-lattice flow and the flow specialization of the
+dichromate.  The hat chirotope must equal the eps -> 0+ limit of the
+symbolic union supermatroid at a drawn basis.
 """
 
 from fractions import Fraction
@@ -15,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlpoly.digraph import Digraph, matroid_from_digraph, nl_coflow_graphic
-from nlpoly.om import RealizedOM, standardize
-from nlpoly.poly import TriPoly, dichromate, nl_coflow_matroid, specialize
+from nlpoly.om import RealizedOM, nonneg_face_lattice, standardize
+from nlpoly.poly import TriPoly, dichromate, nl_coflow_matroid, nl_flow_matroid, specialize
 from nlpoly.ratlin import RatMatrix, row_basis
 from nlpoly.union import build_hat
 from oracles import (
+    brute_nonneg_covectors,
+    brute_rank,
     brute_totally_cyclic,
     eps_limit_chirotope,
     mobius_by_inversion,
@@ -74,3 +79,19 @@ def test_hat_chirotope_is_the_symbolic_limit(m, data):
     std, _ = standardize(om, list(basis) if basis else None)
     hat = build_hat(std).hat
     assert hat.chirotope.signs == eps_limit_chirotope(symbolic_hat_rows(std.matrix), hat.ground_size)
+
+
+@_SETTINGS
+@given(_matrices())
+def test_flow_equals_the_oracle_flow(m):
+    # each nonnegative covector X contributes mu(X) * x^(|E - X| - rank(E - X))
+    supports = {x.support for x in brute_nonneg_covectors(m)}
+    terms = []
+    for s, mu in mobius_by_inversion(supports).items():
+        rest = [j for j in range(m.cols) if j not in s]
+        terms.append(((len(rest) - brute_rank(m.column_submatrix(rest)), 0, 0), mu))
+    phi = TriPoly(terms)
+    om = RealizedOM(row_basis(m))
+    assert set(nonneg_face_lattice(om)) == supports
+    assert nl_flow_matroid(om) == phi
+    assert specialize(dichromate(om)[0], 1, 0) == X(om.rank) * phi
