@@ -6,13 +6,14 @@ header, one ``<tail> <head>`` arc per line) or matrix JSON files
 (``{"rows": [[...]]}`` with integers or "p/q" strings).  Exit codes:
 0 success, 1 failed check, 2 malformed or unreadable input or usage, 3
 cap or budget exceeded, 4 violated internal invariant or any other
-internal error.
+internal error, 141 (128 + SIGPIPE) the reader of stdout went away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -276,7 +277,12 @@ def main(argv=None) -> int:
         oracle=getattr(args, "oracle", None) or "",
     )
     try:
-        return run(config)
+        code = run(config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout's reader is gone; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, InvalidBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

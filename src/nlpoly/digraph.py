@@ -3,9 +3,10 @@
 This module is deliberately independent of the matroid pipeline: the
 NL-coflow polynomial is computed here straight from its subset-poset
 definition, whose members, the totally cyclic arc subsets, are the
-unions of directed cycles; and acyclic colorings are counted by
-exhaustion.  So both can serve as ground truth for the lattice-based
-route.
+unions of directed cycles, weighted by the Moebius function of that
+union-closed family (``om.mobius_from_bottom``, a crosscut over its
+generators); and acyclic colorings are counted by exhaustion.  So both
+can serve as ground truth for the lattice-based route.
 """
 
 from __future__ import annotations

@@ -339,50 +339,38 @@ def cocircuits(om: RealizedOM):
 
 
 def mobius_from_bottom(members) -> dict:
-    """Moebius values mu(bottom, X) on a family of sets ordered by inclusion.
+    """Moebius values mu(bottom, X) on a union-closed family of sets.
 
-    ``members`` is an iterable of frozensets with a unique minimal
-    element (the bottom).  mu(bottom) = 1 and mu(X) = -sum of mu over
-    all strictly smaller members.
+    ``members`` is an iterable of frozensets, closed under union, whose
+    smallest member lies in every other (the bottom), so inclusion makes
+    it a lattice whose join is union.  The values come from Rota's
+    crosscut over the generators, the members that are no union of
+    smaller members.  Let f(X) be the sum of (-1)^|S| over the sets S of
+    generators whose union with the bottom is X.  Then the sum of f(Y)
+    over the members Y <= X is the sum of (-1)^|S| over all sets S of
+    generators below X: 1 at the bottom, where there are none, and 0
+    above it.  That is the defining recursion of mu, so f = mu, at a cost
+    of the number of generators times the size of the family.
     """
     members = [frozenset(s) for s in members]
     if len(set(members)) != len(members):
         raise InvalidPosetError("duplicate poset elements")
     if not members:
         raise InvalidPosetError("empty poset")
-    universe = sorted(set().union(*members))
-    bit = {e: 1 << i for i, e in enumerate(universe)}
-    masks = []
-    for s in members:
-        m = 0
-        for e in s:
-            m |= bit[e]
-        masks.append((m, s))
-    masks.sort(key=lambda t: (bin(t[0]).count("1"), t[0]))
-    mu_by_mask = {}
-    mobius = {}
-    bottom_seen = False
-    for m, s in masks:
-        total = 0
-        found_smaller = False
-        sub = (m - 1) & m
-        while True:
-            if sub in mu_by_mask:
-                total += mu_by_mask[sub]
-                found_smaller = True
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-        if not found_smaller:
-            if bottom_seen:
-                raise InvalidPosetError("poset has more than one minimal element")
-            bottom_seen = True
-            value = 1
-        else:
-            value = -total
-        mu_by_mask[m] = value
-        mobius[s] = value
-    return mobius
+    bit = {e: 1 << i for i, e in enumerate(sorted(set().union(*members)))}
+    masks = {sum(bit[e] for e in s): s for s in members}
+    order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    bottom = order[0]
+    if any(m & bottom != bottom for m in order):
+        raise InvalidPosetError("some member does not contain the smallest member")
+    mu = {bottom: 1}
+    for g in order:
+        if g not in mu:  # a generator
+            for x, v in list(mu.items()):
+                if x | g not in masks:
+                    raise InvalidPosetError("poset is not closed under union")
+                mu[x | g] = mu.get(x | g, 0) - v
+    return {masks[m]: mu[m] for m in order}
 
 
 def nonneg_face_lattice(om: RealizedOM) -> FaceLattice:

@@ -222,6 +222,14 @@ def brute_nonneg_covectors(m: RatMatrix):
     return {x for x in all_covectors(m) if x.is_nonnegative()}
 
 
+def union_closure(family):
+    """Every union of one or more members of ``family``."""
+    closed = {frozenset(s) for s in family}
+    for s in list(closed):
+        closed |= {s | t for t in closed}
+    return closed
+
+
 def mobius_by_inversion(members):
     """Moebius values from the bottom by solving the incidence system.
 

@@ -135,6 +135,19 @@ def test_exit_4_on_an_unexpected_exception(tmp_path, capsys, monkeypatch):
     assert _run(capsys, ["coflow", path]) == (4, "", "internal error: RuntimeError: boom\n")
 
 
+def test_exit_141_quietly_when_stdout_is_closed(tmp_path):
+    path = _write(tmp_path, "c3.digraph", CYCLE3)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nlpoly.cli", "coflow", path],
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before anything is written
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_check_passes_on_digraph(tmp_path, capsys):
     path = _write(tmp_path, "digon.digraph", DIGON)
     code, out, _ = _run(capsys, ["check", path])

@@ -109,6 +109,18 @@ def test_totally_cyclic_poset_examples():
     assert c3 == (frozenset(), frozenset({0, 1, 2}))
 
 
+def test_loops_give_the_boolean_lattice():
+    # 16 loops: every arc subset is totally cyclic, so the poset is the
+    # Boolean lattice of 2^16 subsets, where a walk over every submask of
+    # every member takes 3^16 steps.
+    mobius = mobius_from_bottom(totally_cyclic_poset(Digraph(1, [(0, 0)] * 16)))
+    assert len(mobius) == 1 << 16
+    assert all(mu == (-1) ** len(x) for x, mu in mobius.items())
+    # Loops have rank 0, so the coflow is the sum of all mu: 0.  Checked on
+    # 12 loops: at 16 its 65,536 subset ranks would triple the test's time.
+    assert nl_coflow_graphic(Digraph(1, [(0, 0)] * 12)) == TriPoly()
+
+
 def test_totally_cyclic_poset_cap():
     big = Digraph(2, [(0, 1)] * 17)
     with pytest.raises(ResourceLimitError):

@@ -5,7 +5,8 @@ mixed in, and compares ``rank_rat``, ``echelon``, ``row_basis``,
 ``standard_form``, ``union.minor``, the chirotope and the cocircuits with
 the oracles of ``tests/oracles.py``: ranks by nonsingular minors,
 covectors by orthogonality to the signed circuits, and chirotopes by one
-determinant per column tuple.
+determinant per column tuple.  Also draws union-closed set families and
+compares ``mobius_from_bottom`` with Moebius inversion.
 """
 
 import itertools
@@ -16,10 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlpoly.errors import InvalidBasisError, NotARealizationError
-from nlpoly.om import RealizedOM, SignVector, chirotope_from_matrix, cocircuits
+from nlpoly.om import (
+    RealizedOM,
+    SignVector,
+    chirotope_from_matrix,
+    cocircuits,
+    mobius_from_bottom,
+)
 from nlpoly.ratlin import RatMatrix, det_sign_eps, echelon, rank_rat, row_basis, standard_form
 from nlpoly.union import minor
-from oracles import all_covectors, brute_cocircuits, brute_rank
+from oracles import (
+    all_covectors,
+    brute_cocircuits,
+    brute_rank,
+    mobius_by_inversion,
+    union_closure,
+)
 
 _fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -169,3 +182,13 @@ def test_chirotope_rejects_dependent_rows(m, data):
 def test_cocircuits_are_the_minimal_covectors(m):
     om = RealizedOM(row_basis(m))
     assert set(cocircuits(om)) == brute_cocircuits(om.matrix)
+
+
+_subsets = st.frozensets(st.integers(0, 5))
+
+
+@_SETTINGS
+@given(_subsets, st.lists(_subsets, max_size=6))
+def test_mobius_on_union_closures_is_the_inversion_oracle(bottom, family):
+    closed = union_closure({bottom} | {bottom | s for s in family})
+    assert mobius_from_bottom(closed) == mobius_by_inversion(closed)

@@ -29,6 +29,7 @@ from oracles import (
     eps_limit_chirotope,
     mobius_by_inversion,
     relabeled_chirotope,
+    union_closure,
 )
 from suite import catalog_hats, random_rat_matrix
 
@@ -257,12 +258,21 @@ def test_mobius_examples():
 
 
 def test_mobius_requires_unique_bottom():
-    with pytest.raises(InvalidPosetError):
+    with pytest.raises(InvalidPosetError, match="does not contain the smallest member"):
         mobius_from_bottom([frozenset({1}), frozenset({2})])
     with pytest.raises(InvalidPosetError):
         mobius_from_bottom([])
     with pytest.raises(InvalidPosetError):
         mobius_from_bottom([frozenset({1}), frozenset({1})])
+
+
+def test_mobius_rejects_family_not_closed_under_union():
+    for family in (
+        [frozenset(), frozenset({1}), frozenset({2})],
+        [frozenset(), frozenset({1, 2}), frozenset({1, 3})],
+    ):
+        with pytest.raises(InvalidPosetError, match="not closed under union"):
+            mobius_from_bottom(family)
 
 
 def test_mobius_matches_inversion_oracle():
@@ -272,6 +282,7 @@ def test_mobius_matches_inversion_oracle():
         family = {frozenset()}
         for _ in range(rng.randint(1, 10)):
             family.add(frozenset(e for e in universe if rng.random() < 0.5))
+        family = union_closure(family)
         mob = mobius_from_bottom(family)
         assert mob == mobius_by_inversion(family)
 
