@@ -203,9 +203,7 @@ def run_checks(om: RealizedOM, digraph: Digraph | None = None, cap=DEFAULT_ENUME
     """Run the full invariant suite on one matroid; returns CheckResults."""
     n = om.ground_size
     if n > cap // 2:
-        raise ResourceLimitError(
-            f"{n} elements exceed the cap {cap // 2} for the doubled ground set"
-        )
+        raise ResourceLimitError(f"{n} elements exceed the doubled-ground cap {cap // 2}")
     psi, phi = nl_coflow_matroid(om), nl_flow_matroid(om)
     # Bases that share a standard form share its hat and all that is read
     # off it; every check still runs once per basis.

@@ -2,11 +2,12 @@
 
 This module is deliberately independent of the matroid pipeline: the
 NL-coflow polynomial is computed here straight from its subset-poset
-definition, whose members, the totally cyclic arc subsets, are the
-unions of directed cycles, weighted by the Moebius function of that
-union-closed family (``om.mobius_from_bottom``, a crosscut over its
-generators); and acyclic colorings are counted by exhaustion.  So both
-can serve as ground truth for the lattice-based route.
+definition.  Its members, the totally cyclic arc subsets, are the unions
+of directed cycles, so one crosscut pass over the directed cycles, as
+arc bitmasks, builds the family and its Moebius function together
+(``om.mobius_from_bottom``).  Acyclic colorings are counted by
+exhaustion.  So both can serve as ground truth for the lattice-based
+route.
 """
 
 from __future__ import annotations
@@ -109,34 +110,32 @@ def incidence_matrix(d: Digraph) -> RatMatrix:
     return RatMatrix(d.vertex_count, d.arc_count, [x for row in rows for x in row])
 
 
-def _cycle_unions(d: Digraph) -> set:
-    """Every union of directed cycles of ``d`` as an arc bitmask.
+def _directed_cycles(d: Digraph) -> list:
+    """Every directed cycle of ``d`` as an arc bitmask.
 
     Each cycle is found once, by a depth-first walk from its least vertex
     through higher vertices only; a loop, and each choice among parallel
-    arcs, is a cycle of its own.  Every union found so far is extended by
-    each new cycle.
+    arcs, is a cycle of its own.
     """
     out = [[] for _ in range(d.vertex_count)]
     for i, (t, h) in enumerate(d.arcs):
         out[t].append((h, 1 << i))
-    unions = {0}
+    cycles = []
     for s in range(d.vertex_count):
         stack = [(s, 0, 1 << s)]  # (vertex, arcs walked, vertices walked)
         while stack:
             v, arcs, seen = stack.pop()
             for w, bit in out[v]:
                 if w == s:
-                    cycle = arcs | bit
-                    unions |= {x | cycle for x in unions}
+                    cycles.append(arcs | bit)
                 elif w > s and not seen >> w & 1:
                     stack.append((w, arcs | bit, seen | 1 << w))
-    return unions
+    return cycles
 
 
-def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
-    """Every totally cyclic arc subset (including the empty one) as a
-    frozenset, sorted by size and then by elements.
+def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> dict:
+    """Every totally cyclic arc subset (including the empty one 0) as an
+    arc bitmask, mapped to its Moebius value mu(0, X).
 
     A subset is totally cyclic when each of its arcs lies on a directed
     cycle inside it, so these subsets are exactly the unions of directed
@@ -144,18 +143,14 @@ def totally_cyclic_poset(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> tuple:
     """
     m = d.arc_count
     if m > cap:
-        raise ResourceLimitError(f"{m} arcs exceed the enumeration cap {cap}")
-    members = [
-        frozenset(i for i in range(m) if mask >> i & 1) for mask in _cycle_unions(_touched(d)[0])
-    ]
-    members.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(members)
+        raise ResourceLimitError(f"{m} elements exceed the enumeration cap {cap}")
+    return mobius_from_bottom(_directed_cycles(_touched(d)[0]))
 
 
-def subset_rank(d: Digraph, arc_subset) -> int:
-    """Incidence rank of the columns of ``arc_subset``: the vertices they
-    touch minus their connected components, which is the number of arcs
-    a union-find pass joins across two components."""
+def subset_rank(d: Digraph, arc_mask: int) -> int:
+    """Incidence rank of the columns of the arcs in ``arc_mask``: the
+    vertices they touch minus their connected components, which is the
+    number of arcs a union-find pass joins across two components."""
     parent = {}
 
     def find(v):
@@ -165,8 +160,10 @@ def subset_rank(d: Digraph, arc_subset) -> int:
         return v
 
     rank = 0
-    for i in arc_subset:
-        t, h = (find(v) for v in d.arcs[i])
+    while arc_mask:
+        low = arc_mask & -arc_mask
+        arc_mask ^= low
+        t, h = (find(v) for v in d.arcs[low.bit_length() - 1])
         if t != h:
             parent[t] = h
             rank += 1
@@ -179,7 +176,7 @@ def nl_coflow_graphic(d: Digraph, cap=DEFAULT_ENUMERATION_CAP) -> TriPoly:
     The exponent of a subset is the incidence rank of the whole digraph
     minus the incidence rank of the subset's columns.
     """
-    mobius = mobius_from_bottom(totally_cyclic_poset(d, cap))
+    mobius = totally_cyclic_poset(d, cap)
     full = rank_rat(incidence_matrix(_touched(d)[0]))
     return TriPoly(((full - subset_rank(d, b), 0, 0), mu) for b, mu in mobius.items())
 

@@ -34,10 +34,6 @@ class SignVector:
         self.signs = signs
         self._support = None
 
-    @classmethod
-    def zero(cls, size) -> "SignVector":
-        return cls((0,) * size)
-
     @property
     def size(self) -> int:
         return len(self.signs)
@@ -47,13 +43,6 @@ class SignVector:
         if self._support is None:
             self._support = frozenset(i for i, s in enumerate(self.signs) if s)
         return self._support
-
-    def compose(self, other: "SignVector") -> "SignVector":
-        if len(self.signs) != len(other.signs):
-            raise DimensionError("composition of sign vectors of different sizes")
-        return SignVector(
-            tuple(a if a else b for a, b in zip(self.signs, other.signs))
-        )
 
     def is_nonnegative(self) -> bool:
         return all(s >= 0 for s in self.signs)
@@ -338,39 +327,35 @@ def cocircuits(om: RealizedOM):
     return om._cocircuits
 
 
-def mobius_from_bottom(members) -> dict:
-    """Moebius values mu(bottom, X) on a union-closed family of sets.
+def mobius_from_bottom(generators) -> dict:
+    """Moebius values mu(0, X) on every union X of ``generators``.
 
-    ``members`` is an iterable of frozensets, closed under union, whose
-    smallest member lies in every other (the bottom), so inclusion makes
-    it a lattice whose join is union.  The values come from Rota's
-    crosscut over the generators, the members that are no union of
-    smaller members.  Let f(X) be the sum of (-1)^|S| over the sets S of
-    generators whose union with the bottom is X.  Then the sum of f(Y)
-    over the members Y <= X is the sum of (-1)^|S| over all sets S of
-    generators below X: 1 at the bottom, where there are none, and 0
-    above it.  That is the defining recursion of mu, so f = mu, at a cost
-    of the number of generators times the size of the family.
+    ``generators`` are nonempty sets given as int bitmasks, in any order;
+    repeats and unions of other generators are allowed.  Their unions,
+    the empty union 0 included, form a family closed under union, so
+    inclusion makes it a lattice with bottom 0 whose join is union.  The
+    values come from Rota's crosscut over the generators.  Let f(X) be
+    the sum of (-1)^|S| over the sets S of list positions whose
+    generators have union X.  Then the sum of f(Y) over the members
+    Y <= X is the sum of (-1)^|S| over all sets S of positions whose
+    generators lie below X: 1 at X = 0, below which no generator lies,
+    since each is nonempty, and 0 above it, where some does.  That is
+    the defining recursion of mu, so f = mu.  One loop builds the family
+    and f together: a new generator g splits each S into those without
+    g and those with it, so every value found so far at X adds its
+    negation at X | g.  The cost is the number of generators times the
+    size of the family.
+
+    Returns ``{member: mu}``.  An empty generator would make every value
+    0, so it raises ``InvalidPosetError``.
     """
-    members = [frozenset(s) for s in members]
-    if len(set(members)) != len(members):
-        raise InvalidPosetError("duplicate poset elements")
-    if not members:
-        raise InvalidPosetError("empty poset")
-    bit = {e: 1 << i for i, e in enumerate(sorted(set().union(*members)))}
-    masks = {sum(bit[e] for e in s): s for s in members}
-    order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-    bottom = order[0]
-    if any(m & bottom != bottom for m in order):
-        raise InvalidPosetError("some member does not contain the smallest member")
-    mu = {bottom: 1}
-    for g in order:
-        if g not in mu:  # a generator
-            for x, v in list(mu.items()):
-                if x | g not in masks:
-                    raise InvalidPosetError("poset is not closed under union")
-                mu[x | g] = mu.get(x | g, 0) - v
-    return {masks[m]: mu[m] for m in order}
+    mu = {0: 1}
+    for g in generators:
+        if not g:
+            raise InvalidPosetError("an empty generator makes every Moebius value 0")
+        for x, v in list(mu.items()):
+            mu[x | g] = mu.get(x | g, 0) - v
+    return mu
 
 
 def nonneg_face_lattice(om: RealizedOM) -> FaceLattice:

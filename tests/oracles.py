@@ -230,6 +230,18 @@ def union_closure(family):
     return closed
 
 
+def bitmask(elements) -> int:
+    """The int bitmask of a set of nonnegative integers."""
+    return sum(1 << e for e in set(elements))
+
+
+def keyed_by_sets(by_mask: dict) -> dict:
+    """``by_mask`` with every int bitmask key turned into the frozenset of its bits."""
+    return {
+        frozenset(i for i in range(m.bit_length()) if m >> i & 1): v for m, v in by_mask.items()
+    }
+
+
 def mobius_by_inversion(members):
     """Moebius values from the bottom by solving the incidence system.
 

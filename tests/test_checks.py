@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from nlpoly import checks
 from nlpoly.cli import _realize, main
 from nlpoly.digraph import Digraph, matroid_from_digraph
+from nlpoly.errors import ResourceLimitError
 from nlpoly.om import FaceLattice
 from nlpoly.ratlin import RatMatrix
 from nlpoly.union import DUAL, PRIMAL, HatMatroid
@@ -135,6 +136,16 @@ def test_cli_check_exits_1_on_a_failed_check(tmp_path, capsys, monkeypatch):
         "FAIL oracle-agreement (subset-poset and face-lattice coflow polynomials differ)"
     ]
     assert len(lines) == 12
+
+
+def test_cap_on_the_doubled_ground_set_reads_as_the_cli(tmp_path, capsys):
+    with pytest.raises(ResourceLimitError) as exc:
+        checks.run_checks(matroid_from_digraph(DIGRAPH), digraph=DIGRAPH, cap=5)
+    assert str(exc.value) == "3 elements exceed the doubled-ground cap 2"
+    path = tmp_path / "d.digraph"
+    path.write_text("digraph 3\n0 1\n1 0\n1 2\n")
+    assert main(["check", str(path), "--cap", "5"]) == 3
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,15 @@ from nlpoly.digraph import (
     totally_cyclic_poset,
 )
 from nlpoly.errors import ParseError, ResourceLimitError
-from nlpoly.om import mobius_from_bottom
 from nlpoly.poly import TriPoly, evaluate, nl_coflow_matroid
 from nlpoly.ratlin import RatMatrix, rank_rat
-from oracles import brute_totally_cyclic, has_cycle_recursive, subset_rank_from_components
+from oracles import (
+    bitmask,
+    brute_totally_cyclic,
+    has_cycle_recursive,
+    keyed_by_sets,
+    subset_rank_from_components,
+)
 from suite import TEST_DIGRAPHS, random_digraphs
 
 X = TriPoly.x
@@ -80,7 +85,8 @@ def test_incidence_rank_equals_vertices_minus_components():
         for size in range(min(3, d.arc_count) + 1):
             for subset in itertools.combinations(indices, size):
                 got = rank_rat(inc.column_submatrix(subset))
-                assert got == subset_rank(d, subset) == subset_rank_from_components(d, subset)
+                assert got == subset_rank(d, bitmask(subset))
+                assert got == subset_rank_from_components(d, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -88,43 +94,42 @@ def test_incidence_rank_equals_vertices_minus_components():
 
 
 def test_is_totally_cyclic_examples():
-    assert frozenset() in totally_cyclic_poset(CYCLE3)
-    assert frozenset({0}) not in totally_cyclic_poset(Digraph(2, [(0, 1)]))
-    assert frozenset({0, 1}) in totally_cyclic_poset(DIGON)
-    assert frozenset({0}) in totally_cyclic_poset(Digraph(1, [(0, 0)]))
+    assert 0 in totally_cyclic_poset(CYCLE3)
+    assert 0b1 not in totally_cyclic_poset(Digraph(2, [(0, 1)]))
+    assert 0b11 in totally_cyclic_poset(DIGON)
+    assert 0b1 in totally_cyclic_poset(Digraph(1, [(0, 0)]))
     # a path into a cycle: the cycle is a member, the cycle with its tail is not
     lollipop = totally_cyclic_poset(Digraph(3, [(0, 1), (1, 2), (2, 1)]))
-    assert frozenset({1, 2}) in lollipop and frozenset({0, 1, 2}) not in lollipop
+    assert 0b110 in lollipop and 0b111 not in lollipop
 
 
 def test_totally_cyclic_poset_examples():
-    single = totally_cyclic_poset(Digraph(2, [(0, 1)]))
-    assert single == (frozenset(),)
-
-    digon = totally_cyclic_poset(DIGON)
-    assert digon == (frozenset(), frozenset({0, 1}))
-    assert mobius_from_bottom(digon)[frozenset({0, 1})] == -1
-
-    c3 = totally_cyclic_poset(CYCLE3)
-    assert c3 == (frozenset(), frozenset({0, 1, 2}))
+    assert totally_cyclic_poset(Digraph(2, [(0, 1)])) == {0: 1}
+    assert totally_cyclic_poset(DIGON) == {0: 1, 0b11: -1}
+    assert totally_cyclic_poset(CYCLE3) == {0: 1, 0b111: -1}
+    # two digons sharing arc 0 -> 1: mu(both) = -(1 - 1 - 1)
+    shared = Digraph(2, [(0, 1), (1, 0), (1, 0)])
+    assert totally_cyclic_poset(shared) == {0: 1, 0b011: -1, 0b101: -1, 0b111: 1}
 
 
 def test_loops_give_the_boolean_lattice():
     # 16 loops: every arc subset is totally cyclic, so the poset is the
     # Boolean lattice of 2^16 subsets, where a walk over every submask of
     # every member takes 3^16 steps.
-    mobius = mobius_from_bottom(totally_cyclic_poset(Digraph(1, [(0, 0)] * 16)))
+    loops = Digraph(1, [(0, 0)] * 16)
+    mobius = totally_cyclic_poset(loops)
     assert len(mobius) == 1 << 16
-    assert all(mu == (-1) ** len(x) for x, mu in mobius.items())
-    # Loops have rank 0, so the coflow is the sum of all mu: 0.  Checked on
-    # 12 loops: at 16 its 65,536 subset ranks would triple the test's time.
-    assert nl_coflow_graphic(Digraph(1, [(0, 0)] * 12)) == TriPoly()
+    assert all(mu == (-1) ** bin(x).count("1") for x, mu in mobius.items())
+    # Loops have rank 0, so the coflow is the sum of all mu: 0.
+    assert nl_coflow_graphic(loops) == TriPoly()
 
 
 def test_totally_cyclic_poset_cap():
     big = Digraph(2, [(0, 1)] * 17)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as exc:
         totally_cyclic_poset(big)
+    # the text the CLI prints for the same limit
+    assert str(exc.value) == "17 elements exceed the enumeration cap 16"
     totally_cyclic_poset(big, cap=17)  # explicit override works
 
 
@@ -136,7 +141,7 @@ def test_totally_cyclic_poset_is_brute_force_on_loops_and_parallels():
         n = rng.randint(2, 4)
         arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
         d = Digraph(n, arcs)
-        assert totally_cyclic_poset(d) == brute_totally_cyclic(d), d
+        assert set(keyed_by_sets(totally_cyclic_poset(d))) == set(brute_totally_cyclic(d)), d
 
 
 def test_totally_cyclic_poset_counts():
@@ -159,7 +164,7 @@ def test_totally_cyclic_union_closure():
 def test_self_loop_law():
     d = Digraph(2, [(0, 0), (0, 1)])
     q = totally_cyclic_poset(d)
-    assert frozenset({0}) in q
+    assert 0b1 in q
     for k in (1, 2, 3):
         assert count_acyclic_colorings(d, k) == 0
 

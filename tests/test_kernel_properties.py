@@ -5,8 +5,8 @@ mixed in, and compares ``rank_rat``, ``echelon``, ``row_basis``,
 ``standard_form``, ``union.minor``, the chirotope and the cocircuits with
 the oracles of ``tests/oracles.py``: ranks by nonsingular minors,
 covectors by orthogonality to the signed circuits, and chirotopes by one
-determinant per column tuple.  Also draws union-closed set families and
-compares ``mobius_from_bottom`` with Moebius inversion.
+determinant per column tuple.  Also draws lists of generator sets and
+compares ``mobius_from_bottom`` with Moebius inversion on their unions.
 """
 
 import itertools
@@ -28,8 +28,10 @@ from nlpoly.ratlin import RatMatrix, det_sign_eps, echelon, rank_rat, row_basis,
 from nlpoly.union import minor
 from oracles import (
     all_covectors,
+    bitmask,
     brute_cocircuits,
     brute_rank,
+    keyed_by_sets,
     mobius_by_inversion,
     union_closure,
 )
@@ -184,11 +186,20 @@ def test_cocircuits_are_the_minimal_covectors(m):
     assert set(cocircuits(om)) == brute_cocircuits(om.matrix)
 
 
-_subsets = st.frozensets(st.integers(0, 5))
+_generators = st.frozensets(st.integers(0, 5), min_size=1)
 
 
 @_SETTINGS
-@given(_subsets, st.lists(_subsets, max_size=6))
-def test_mobius_on_union_closures_is_the_inversion_oracle(bottom, family):
-    closed = union_closure({bottom} | {bottom | s for s in family})
-    assert mobius_from_bottom(closed) == mobius_by_inversion(closed)
+@given(
+    st.lists(_generators, min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_mobius_on_union_closures_is_the_inversion_oracle(gens, picks, rnd):
+    # each pick appends a repeat or a union of drawn generators
+    gens = gens + [frozenset().union(*(gens[i % len(gens)] for i in pick)) for pick in picks]
+    rnd.shuffle(gens)
+    closed = union_closure({frozenset()} | set(gens))
+    mobius = keyed_by_sets(mobius_from_bottom([bitmask(s) for s in gens]))
+    assert set(mobius) == closed
+    assert mobius == mobius_by_inversion(closed)

@@ -7,7 +7,6 @@ import pytest
 
 from nlpoly.errors import (
     ContractViolation,
-    DimensionError,
     InvalidPosetError,
     NotARealizationError,
 )
@@ -23,10 +22,12 @@ from nlpoly.om import (
 )
 from nlpoly.ratlin import RatMatrix, det_sign_eps, eps_limit_rows
 from oracles import (
+    bitmask,
     brute_cocircuits,
     brute_nonneg_covectors,
     chirotopes_equal_up_to_sign,
     eps_limit_chirotope,
+    keyed_by_sets,
     mobius_by_inversion,
     relabeled_chirotope,
     union_closure,
@@ -64,26 +65,9 @@ def test_sign_vector_basics():
     assert x.support == {0, 2}
     assert (-x).signs == (-1, 0, 1)
     assert not x.is_nonnegative()
-    assert SignVector.zero(3).is_nonnegative()
+    assert SignVector((0, 0, 0)).is_nonnegative()
     with pytest.raises(ValueError):
         SignVector((2, 0))
-
-
-def test_compose_examples():
-    x = SignVector((1, 0))
-    assert x.compose(SignVector.zero(2)) == x
-    assert SignVector((1, 0)).compose(SignVector((0, 1))) == SignVector((1, 1))
-    assert SignVector((1, 0, -1)).compose(SignVector((-1, 1, 1))) == SignVector((1, 1, -1))
-    with pytest.raises(DimensionError):
-        SignVector((1,)).compose(SignVector((1, 0)))
-
-
-def test_compose_support_union():
-    rng = random.Random(3)
-    for _ in range(50):
-        a = SignVector(tuple(rng.choice((-1, 0, 1)) for _ in range(5)))
-        b = SignVector(tuple(rng.choice((-1, 0, 1)) for _ in range(5)))
-        assert a.compose(b).support == a.support | b.support
 
 
 # ---------------------------------------------------------------------------
@@ -248,54 +232,59 @@ def test_face_lattice_closed_under_composition():
 
 
 def test_mobius_examples():
-    chain = [frozenset(), frozenset({"a", "b"})]
-    assert mobius_from_bottom(chain)[frozenset({"a", "b"})] == -1
-    boolean = [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    mob = mobius_from_bottom(boolean)
-    assert mob[frozenset()] == 1
-    assert mob[frozenset({1})] == -1
-    assert mob[frozenset({1, 2})] == 1
+    assert mobius_from_bottom([]) == {0: 1}
+    assert mobius_from_bottom([0b11]) == {0: 1, 0b11: -1}
+    boolean = {0: 1, 0b01: -1, 0b10: -1, 0b11: 1}
+    assert mobius_from_bottom([0b01, 0b10]) == boolean
+    # a repeat, or a generator that is a union of others, changes nothing
+    assert mobius_from_bottom([0b10, 0b01, 0b01, 0b11]) == boolean
+    # two atoms under a common top: mu(top) = -1 - (-1) - (-1) = 1
+    assert mobius_from_bottom([0b011, 0b101, 0b111]) == {0: 1, 0b011: -1, 0b101: -1, 0b111: 1}
 
 
-def test_mobius_requires_unique_bottom():
-    with pytest.raises(InvalidPosetError, match="does not contain the smallest member"):
-        mobius_from_bottom([frozenset({1}), frozenset({2})])
-    with pytest.raises(InvalidPosetError):
-        mobius_from_bottom([])
-    with pytest.raises(InvalidPosetError):
-        mobius_from_bottom([frozenset({1}), frozenset({1})])
+def test_mobius_rejects_an_empty_generator():
+    with pytest.raises(InvalidPosetError, match="empty generator"):
+        mobius_from_bottom([0b1, 0])
 
 
-def test_mobius_rejects_family_not_closed_under_union():
-    for family in (
-        [frozenset(), frozenset({1}), frozenset({2})],
-        [frozenset(), frozenset({1, 2}), frozenset({1, 3})],
-    ):
-        with pytest.raises(InvalidPosetError, match="not closed under union"):
-            mobius_from_bottom(family)
+def _generator_lists(rng, count):
+    """Nonempty generators on up to 5 elements, with repeats, unions of
+    other generators, and the order shuffled."""
+    out = []
+    for _ in range(count):
+        universe = range(rng.randint(1, 5))
+        size, gens = rng.randint(1, 8), []
+        while len(gens) < size:
+            s = frozenset(e for e in universe if rng.random() < 0.5)
+            if s:
+                gens.append(s)
+        gens += [rng.choice(gens) for _ in range(rng.randint(0, 2))]
+        gens += [rng.choice(gens) | rng.choice(gens) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(gens)
+        out.append(gens)
+    return out
 
 
 def test_mobius_matches_inversion_oracle():
     rng = random.Random(43)
-    for _ in range(40):
-        universe = range(rng.randint(1, 5))
-        family = {frozenset()}
-        for _ in range(rng.randint(1, 10)):
-            family.add(frozenset(e for e in universe if rng.random() < 0.5))
-        family = union_closure(family)
-        mob = mobius_from_bottom(family)
+    for gens in _generator_lists(rng, 40):
+        family = union_closure({frozenset()} | set(gens))
+        mob = keyed_by_sets(mobius_from_bottom([bitmask(s) for s in gens]))
+        assert set(mob) == family
         assert mob == mobius_by_inversion(family)
 
 
 def test_mobius_defining_identity_on_lattices():
     # The Eulerian closed form (-1)^rank against the defining recursion
-    # (mobius_from_bottom), on random lattices and on every hat lattice of
-    # every catalog basis.
+    # (mobius_from_bottom over the nonnegative cocircuit supports), on
+    # random lattices and on every hat lattice of every catalog basis.
     rng = random.Random(47)
-    lattices = [nonneg_face_lattice(om) for _, om in _full_row_rank_matrices(rng, 12)]
-    lattices += [nonneg_face_lattice(h.hat) for _, _, h in catalog_hats()]
-    for lattice in lattices:
-        assert {x: lattice.mobius(x) for x in lattice} == mobius_from_bottom(lattice)
+    oms = [om for _, om in _full_row_rank_matrices(rng, 12)]
+    oms += [h.hat for _, _, h in catalog_hats()]
+    for om in oms:
+        lattice = nonneg_face_lattice(om)
+        supports = [bitmask(d.support) for d in cocircuits(om) if d.is_nonnegative()]
+        assert keyed_by_sets(mobius_from_bottom(supports)) == {x: lattice.mobius(x) for x in lattice}
 
 
 # ---------------------------------------------------------------------------
