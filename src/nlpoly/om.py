@@ -3,9 +3,13 @@
 A realized oriented matroid is a full-row-rank matrix over the
 rationals; its chirotope is the sign map of its maximal minors, all read
 off one Laplace pass over the echelon rows, which shares every sub-minor
-between column r-tuples.  From the chirotope we enumerate signed
-cocircuits and build the nonnegative face lattice ordered by support
-inclusion, whose Moebius values are read off its ranks.
+between column r-tuples.  The signed cocircuits come from the bases
+alone: dropping one element of a basis leaves an independent set whose
+hyperplane the basis's sign fixes on that element, so grouping the
+bases by those sets gives every hyperplane's cocircuit.  The nonnegative
+face lattice is the union closure of the nonnegative cocircuits'
+supports, built on int bitmasks; its ranks are read off its covers and
+its Moebius values off its ranks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from .errors import (
     InvalidPosetError,
     NotARealizationError,
 )
-from .ratlin import RatMatrix, det_sign_eps, echelon, integer_row, sign_of, standard_form
+from .ratlin import RatMatrix, cleared_echelon, det_sign_eps, echelon, sign_of, standard_form
+
+
+_SIGNS = frozenset((-1, 0, 1))
 
 
 class SignVector:
@@ -29,7 +36,7 @@ class SignVector:
 
     def __init__(self, signs):
         signs = tuple(signs)
-        if any(s not in (-1, 0, 1) for s in signs):
+        if not _SIGNS.issuperset(signs):
             raise ValueError("sign entries must be -1, 0 or +1")
         self.signs = signs
         self._support = None
@@ -45,7 +52,7 @@ class SignVector:
         return self._support
 
     def is_nonnegative(self) -> bool:
-        return all(s >= 0 for s in self.signs)
+        return -1 not in self.signs
 
     def __neg__(self):
         return SignVector(tuple(-s for s in self.signs))
@@ -115,9 +122,11 @@ class FaceLattice:
     A nonnegative covector is determined by its support, so ``elements``
     holds frozensets, by size and then sorted contents, starting with the
     bottom ``frozenset()`` (the zero covector, rank 0); ``rank_of`` maps
-    each to its lattice rank.  Every interval [0, X] is Eulerian
-    (Bjoerner et al., *Oriented Matroids*, ch. 4), so the Moebius value
-    ``mobius(x)`` = mu(0, X) is (-1)^rank(X).
+    each to its lattice rank, the length of every maximal chain from the
+    bottom, since a face lattice is graded by dimension (Bjoerner et al.,
+    *Oriented Matroids*, ch. 4).  Every interval [0, X] is Eulerian
+    (ibid.), so the Moebius value ``mobius(x)`` = mu(0, X) is
+    (-1)^rank(X).
     """
 
     __slots__ = ("elements", "rank_of")
@@ -155,14 +164,16 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
     """Chirotope of the column oriented matroid of a full-row-rank matrix.
 
     Every maximal minor comes from one Laplace pass over the echelon rows
-    E of ``m`` (denominators cleared): walking E bottom-up, each nonzero
-    minor of the last k rows on a column set T is extended by every
-    column j outside T where the next row is nonzero, with the sign of
-    j's insertion position in T.  Row echelon steps multiply every
-    maximal minor by one common nonzero factor, so the signs agree with
-    those of ``m`` up to a global flip; the staircase zeros of E keep
-    the partial minors of the last k rows to column sets that fit under
-    its pivots.  Every r-tuple keeps an entry, zeros included.
+    E of ``m`` (denominators cleared, see ``ratlin.cleared_echelon``):
+    walking E bottom-up, each nonzero minor of the last k rows on a
+    column set T, kept under T's bitmask, is extended by every column j
+    outside T where the next row is nonzero, with the sign of j's
+    insertion position in T, the parity of the elements of T below j.
+    Row echelon steps multiply every maximal minor by one common nonzero
+    factor, so the signs agree with those of ``m`` up to a global flip;
+    the staircase zeros of E keep the partial minors of the last k rows
+    to column sets that fit under its pivots.  Every r-tuple keeps an
+    entry, zeros included.
 
     Globally negated if needed so the lexicographically first basis, the
     echelon pivots, is +1.  Two Bareiss determinants of ``m`` itself, at
@@ -172,8 +183,7 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
     r, n = m.rows, m.cols
     if r > n:
         raise NotARealizationError(f"{r} rows cannot be independent among {n} columns")
-    rows = [integer_row(row) for row in m.row_lists()]
-    pivots, ech = echelon(rows)
+    rows, pivots, ech = cleared_echelon(m)
     if len(pivots) < r:
         raise NotARealizationError("matrix does not have full row rank")
     if r == 0:
@@ -181,33 +191,36 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
     # Each echelon row is divisible by the pivots above it; dividing out its
     # positive content keeps the partial minors near the size of true minors.
     ech = [[x // g for x in row] for row in ech for g in [math.gcd(*row)]]
-    minors = {(): 1}
+    minors = {0: 1}
     for row in reversed(ech[1:]):
-        entries = [(j, x) for j, x in enumerate(row) if x]
+        entries = [(1 << j, x) for j, x in enumerate(row) if x]
         wider = {}
         for t, v in minors.items():
             if not v:
                 continue
-            pos = 0  # elements of t below j
-            for j, x in entries:
-                while pos < len(t) and t[pos] < j:
-                    pos += 1
-                if pos < len(t) and t[pos] == j:
-                    continue
-                s = t[:pos] + (j,) + t[pos:]
-                wider[s] = wider.get(s, 0) + (-x * v if pos & 1 else x * v)
+            for bit, x in entries:
+                if not t & bit:
+                    s = t | bit
+                    odd = (t & (bit - 1)).bit_count() & 1
+                    wider[s] = wider.get(s, 0) + (-x * v if odd else x * v)
         minors = wider
     # The top row closes one r-tuple at a time, so the full minors, the
     # largest numbers of the pass, are never stored together.
-    top = ech[0]
+    top = [(1 << j, x) for j, x in enumerate(ech[0])]
     signs = {}
     for sub in itertools.combinations(range(n), r):
+        mask = 0
+        for j in sub:
+            mask |= top[j][0]
         total = 0
-        for pos, j in enumerate(sub):
-            if top[j]:
-                v = minors.get(sub[:pos] + sub[pos + 1 :])
+        odd = False
+        for j in sub:
+            bit, x = top[j]
+            if x:
+                v = minors.get(mask ^ bit)
                 if v:
-                    total += -top[j] * v if pos & 1 else top[j] * v
+                    total += -x * v if odd else x * v
+            odd = not odd
         signs[sub] = sign_of(total)
     first = tuple(pivots)
     last = max(sub for sub, s in signs.items() if s)
@@ -225,9 +238,10 @@ class RealizedOM:
     __slots__ = ("matrix", "labels", "_rows", "_chirotope", "_cocircuits", "_lattice")
 
     def __init__(self, matrix: RatMatrix, labels=None):
-        # ranks are taken on the rows cleared of denominators, in integers
-        self._rows = [integer_row(row) for row in matrix.row_lists()]
-        if len(echelon(self._rows)[0]) != matrix.rows:
+        # ranks are taken on the rows cleared of denominators, in integers;
+        # the chirotope reuses them and their echelon form
+        self._rows, pivots, _ = cleared_echelon(matrix)
+        if len(pivots) != matrix.rows:
             raise NotARealizationError("matrix does not have full row rank")
         self.matrix = matrix
         if labels is None:
@@ -286,45 +300,59 @@ class RealizedOM:
 def cocircuits(om: RealizedOM):
     """All signed cocircuits of ``om``, closed under negation.
 
-    One canonical representative per hyperplane is anchored with its
-    least support element positive; the tuple is sorted for
+    Read off the bases alone.  For a basis T and its element e at
+    position p, the independent set S = T - e spans a hyperplane H, and
+    the cocircuit of H is nonzero exactly off H, that is on the e' that
+    complete S to a basis, with sign (-1)^p' chi(T') there, up to one
+    global sign.  So each basis T and position p give S's cocircuit the
+    value (-1)^p chi(T) at T[p]; these are gathered into a positive and
+    a negative bitmask per S, and the sets S are deduplicated by support,
+    since the sets spanning one hyperplane give it the same cocircuit up
+    to sign.  One representative per hyperplane is anchored with its
+    least support element positive; the tuple, each representative next
+    to its negation, is sorted by support and then signs for
     deterministic output.
     """
     if om._cocircuits is not None:
         return om._cocircuits
     chi = om.chirotope
-    n, r = chi.ground_size, chi.rank
-    seen = {}
-    if r > 0:
-        for sub in itertools.combinations(range(n), r - 1):
-            # chi(e, *sub) is chi of sub with e inserted, times the parity of
-            # moving e past the elements of sub below it
-            values = {}
-            pos = 0
-            for e in range(n):
-                if pos < r - 1 and sub[pos] == e:
-                    pos += 1
-                    continue
-                v = chi.signs[sub[:pos] + (e,) + sub[pos:]]
-                if v:
-                    values[e] = -v if pos & 1 else v
-            if not values:
-                continue  # sub is dependent
-            key = frozenset(values)
-            if key in seen:
-                continue
-            s_anchor = values[min(values)]
-            signs = [0] * n
-            for e, v in values.items():
-                signs[e] = s_anchor * v
-            seen[key] = SignVector(tuple(signs))
+    n = chi.ground_size
+    # sub -> positive mask | negative mask << n
+    halves = {}
+    for t, s in chi.signs.items():
+        if not s:
+            continue
+        mask = _mask(t)
+        shift = 0 if s > 0 else n  # the half of t[0]; (-1)^p flips it at each step
+        for e in t:
+            bit = 1 << e
+            sub = mask ^ bit
+            halves[sub] = halves.get(sub, 0) | bit << shift
+            shift = n - shift
+    full = (1 << n) - 1
+    by_support = {}
+    for v in halves.values():
+        plus, minus = v & full, v >> n
+        support = plus | minus
+        if support not in by_support:
+            least = support & -support
+            by_support[support] = (minus, plus) if minus & least else (plus, minus)
     out = []
-    for d in seen.values():
-        out.append(d)
-        out.append(-d)
-    out.sort(key=lambda d: (sorted(d.support), d.signs))
+    for _, support in sorted((_elements(m), m) for m in by_support):
+        plus, minus = by_support[support]
+        signs = [1 if plus >> e & 1 else -1 if minus >> e & 1 else 0 for e in range(n)]
+        out.append(SignVector([-s for s in signs]))  # -1 at the least element sorts first
+        out.append(SignVector(signs))
     om._cocircuits = tuple(out)
     return om._cocircuits
+
+
+def _elements(mask) -> list:
+    """The elements of an int bitmask, increasing.  A list, not a tuple:
+    the interpreter keeps up to 2,000 freed tuples of each small size
+    for reuse, which would hold on to the memory of these short-lived
+    keys."""
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
 def mobius_from_bottom(generators) -> dict:
@@ -363,20 +391,37 @@ def nonneg_face_lattice(om: RealizedOM) -> FaceLattice:
 
     Nonnegative covectors are exactly the compositions of nonnegative
     cocircuits, so their supports are the unions of the nonnegative
-    cocircuits' supports; lattice rank comes from rank(om) - rank of the
-    columns off the support.
+    cocircuits' supports: ``mobius_from_bottom`` closes those bitmasks
+    under union.  Ranks come from covers, with no linear algebra.  The
+    lattice is atomistic with the cocircuits as atoms, so every X that
+    covers x is x | g for an atom g <= X, while x | g is above x for
+    every atom g not below x.  Visiting the members by size and raising
+    rank(x | g) to rank(x) + 1 therefore finds, at each member, the
+    longest chain from the bottom, which in the graded face lattice is
+    its rank.  The members are turned into frozensets once, at the end.
     """
     if om._lattice is not None:
         return om._lattice
-    supports = {frozenset()}
-    for d in cocircuits(om):
-        if d.is_nonnegative():
-            supports |= {s | d.support for s in supports}
-    ground = set(range(om.ground_size))
-    elements = sorted(supports, key=lambda s: (len(s), sorted(s)))
-    rank_of = {s: om.rank - om.column_rank(ground - s) for s in elements}
-    om._lattice = FaceLattice(elements, rank_of)
+    atoms = [_mask(d.support) for d in cocircuits(om) if d.is_nonnegative()]
+    members = sorted(mobius_from_bottom(atoms), key=lambda m: (m.bit_count(), _elements(m)))
+    rank = dict.fromkeys(members, 0)
+    for x in members:
+        up = rank[x] + 1
+        for g in atoms:
+            y = x | g
+            if y != x and rank[y] < up:
+                rank[y] = up
+    elements = [frozenset(_elements(m)) for m in members]
+    om._lattice = FaceLattice(elements, {x: rank[m] for x, m in zip(elements, members)})
     return om._lattice
+
+
+def _mask(elements) -> int:
+    """The int bitmask of a set of elements."""
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
 
 
 # ---------------------------------------------------------------------------

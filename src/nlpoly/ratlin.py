@@ -32,7 +32,7 @@ def sign_of(q) -> int:
 class RatMatrix:
     """Dense rational matrix, row-major, immutable."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_cleared")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(entries)
@@ -43,6 +43,7 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._cleared = None
 
     @classmethod
     def from_rows(cls, row_lists) -> "RatMatrix":
@@ -197,6 +198,21 @@ def integer_row(row):
     return [int(x * scale) for x in row]
 
 
+def cleared_echelon(m: RatMatrix):
+    """``(rows, pivots, ech)``: the rows of ``m`` cleared of denominators
+    by ``integer_row``, with their ``echelon`` pivots and rows, as tuples.
+
+    Computed on first use and kept on the matrix, whose entries never
+    change, so an oriented matroid, its chirotope and its standard form
+    share one clearing and one elimination.
+    """
+    if m._cleared is None:
+        rows = tuple(tuple(integer_row(row)) for row in m.row_lists())
+        pivots, ech = echelon(rows)
+        m._cleared = (rows, tuple(pivots), tuple(map(tuple, ech)))
+    return m._cleared
+
+
 def eps_limit_rows(rows):
     """Integer rows whose minors all have their eps -> 0+ sign and rank.
 
@@ -235,7 +251,7 @@ def standard_form(m: RatMatrix, basis=None):
     q) / det(B) on those rows cleared of denominators; a supplied basis
     is dependent exactly when det(B) = 0.
     """
-    pivots, rows = echelon(integer_row(row) for row in m.row_lists())
+    _, pivots, rows = cleared_echelon(m)
     r = len(pivots)
     if basis is None:
         basis = pivots

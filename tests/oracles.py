@@ -218,6 +218,32 @@ def brute_cocircuits(m: RatMatrix):
     }
 
 
+def scan_cocircuits(om):
+    """Signed cocircuits by scanning every (r-1)-subset of the ground set.
+
+    For each subset S, chi(e, *S) over the elements e outside S is the
+    cocircuit of S's span, zero everywhere when S is dependent.  Each
+    hyperplane is kept once, anchored with its least support element
+    positive, next to its negation; the tuple is sorted by sorted support
+    and then signs.  Reads only ``om.chirotope``, never the library's
+    cocircuit cache.
+    """
+    chi = om.chirotope
+    n, r = chi.ground_size, chi.rank
+    seen = {}
+    if r > 0:
+        for sub in itertools.combinations(range(n), r - 1):
+            values = {e: chi((e,) + sub) for e in range(n) if e not in sub}
+            values = {e: v for e, v in values.items() if v}
+            key = frozenset(values)
+            if not values or key in seen:
+                continue
+            anchor = values[min(values)]
+            seen[key] = SignVector(anchor * values.get(e, 0) for e in range(n))
+    out = [x for d in seen.values() for x in (d, -d)]
+    return tuple(sorted(out, key=lambda d: (sorted(d.support), d.signs)))
+
+
 def brute_nonneg_covectors(m: RatMatrix):
     return {x for x in all_covectors(m) if x.is_nonnegative()}
 

@@ -142,4 +142,4 @@ def test_mobius_identity_on_all_lattices():
     bad = _failures("mobius-identity")
     rows, _ = _sweep()
     cases = sum(int(r["mobius-identity"].detail.split()[0]) for _, r in rows)
-    _report("mobius-identity", not bad, bad[0] if bad else f"{cases} downset sums")
+    _report("mobius-identity", not bad, bad[0] if bad else f"{cases} Moebius values")

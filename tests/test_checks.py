@@ -19,7 +19,7 @@ from nlpoly import checks
 from nlpoly.cli import _realize, main
 from nlpoly.digraph import Digraph, matroid_from_digraph
 from nlpoly.errors import ResourceLimitError
-from nlpoly.om import FaceLattice
+from nlpoly.om import FaceLattice, nonneg_face_lattice
 from nlpoly.ratlin import RatMatrix
 from nlpoly.union import DUAL, PRIMAL, HatMatroid
 from suite import TEST_DIGRAPHS
@@ -123,6 +123,44 @@ def test_check_reports_fail(check, monkeypatch):
         match = re.match(r"basis (\([^)]*\)): ", result.detail)
         assert match, result.detail
         assert ast.literal_eval(match.group(1)) in om.bases()
+
+
+def _mobius_identity(monkeypatch, change):
+    """mobius-identity on DIGRAPH, with every lattice's elements and ranks
+    passed through ``change``."""
+    real = checks.nonneg_face_lattice
+
+    def planted(om):
+        lat = real(om)
+        return FaceLattice(*change(list(lat.elements), dict(lat.rank_of)))
+
+    monkeypatch.setattr(checks, "nonneg_face_lattice", planted)
+    om = matroid_from_digraph(DIGRAPH)
+    return {r.name: r for r in checks.run_checks(om, digraph=DIGRAPH)}["mobius-identity"]
+
+
+def test_mobius_identity_reports_one_wrong_rank(monkeypatch):
+    def raise_top(elements, rank_of):
+        rank_of[elements[-1]] += 1
+        return elements, rank_of
+
+    lattice = nonneg_face_lattice(matroid_from_digraph(DIGRAPH))
+    top = max(lattice, key=len)
+    mu = lattice.mobius(top)
+    result = _mobius_identity(monkeypatch, raise_top)
+    assert not result.passed
+    assert result.detail == f"Moebius value {mu} at {sorted(top)}, not {-mu}"
+
+
+def test_mobius_identity_reports_a_missing_element(monkeypatch):
+    def drop_top(elements, rank_of):
+        del rank_of[elements[-1]]
+        return elements[:-1], rank_of
+
+    top = max(nonneg_face_lattice(matroid_from_digraph(DIGRAPH)), key=len)
+    result = _mobius_identity(monkeypatch, drop_top)
+    assert not result.passed
+    assert result.detail == f"crosscut member {sorted(top)} is not in the lattice"
 
 
 def test_cli_check_exits_1_on_a_failed_check(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,11 @@
 and duality, checked against brute-force sign-vector oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from nlpoly import ratlin
 from nlpoly.errors import (
     ContractViolation,
     InvalidPosetError,
@@ -30,9 +32,10 @@ from oracles import (
     keyed_by_sets,
     mobius_by_inversion,
     relabeled_chirotope,
+    scan_cocircuits,
     union_closure,
 )
-from suite import catalog_hats, random_rat_matrix
+from suite import canonical_hat, catalog_hats, random_rat_matrix
 
 DIGON = RatMatrix(1, 2, [1, -1])
 PARALLEL = RatMatrix(1, 2, [1, 1])
@@ -103,6 +106,25 @@ def test_chirotope_spot_check_raises_on_a_disagreeing_determinant(monkeypatch):
     assert len(signs) == 2
 
 
+def test_one_clearing_and_elimination_per_matrix(monkeypatch):
+    # the full-rank check, the chirotope and the standard form of one
+    # oriented matroid share its rows cleared of denominators and their
+    # echelon form
+    calls = []
+
+    def counted(name):
+        real = getattr(ratlin, name)
+        monkeypatch.setattr(ratlin, name, lambda rows: calls.append(name) or real(rows))
+
+    counted("echelon")
+    counted("integer_row")
+    m = RatMatrix.from_rows([[Fraction(1, 2), 1, 0, 2], [0, Fraction(1, 3), 1, -1]])
+    om = RealizedOM(m)
+    assert om.chirotope.bases() == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    ratlin.standard_form(om.matrix)
+    assert calls == ["integer_row", "integer_row", "echelon"]
+
+
 def test_chirotope_alternation_and_duplicates():
     rng = random.Random(11)
     for _, om in _full_row_rank_matrices(rng, 15):
@@ -170,6 +192,21 @@ def test_cocircuits_match_bruteforce():
         assert set(cocircuits(_om(m))) == brute_cocircuits(m)
 
 
+def test_cocircuits_match_the_subset_scan():
+    # the pass over the bases against the scan of every (r-1)-subset,
+    # order included, on every catalog hat, random matrices and the
+    # canonical 8-arc hat
+    rng = random.Random(59)
+    oms = [h.hat for _, _, h in catalog_hats()]
+    oms += [om for _, om in _full_row_rank_matrices(rng, 25)]
+    for om in oms:
+        assert cocircuits(om) == scan_cocircuits(om)
+    hat = canonical_hat().hat
+    cocs = cocircuits(hat)
+    assert cocs == scan_cocircuits(hat)
+    assert (len(cocs), sum(d.is_nonnegative() for d in cocs)) == (4360, 28)
+
+
 def test_cocircuit_supports_are_minimal():
     rng = random.Random(29)
     for _, om in _full_row_rank_matrices(rng, 12):
@@ -219,6 +256,38 @@ def test_face_lattice_rank_equals_longest_chain():
             below = [chain[t] for t in lattice if t < s and t in chain]
             chain[s] = 1 + max(below) if below else 0
         assert lattice.rank_of == chain
+
+
+def test_face_lattice_ranks_match_column_ranks():
+    # rank X = rank(om) - rank of the columns off X, by elimination, on
+    # the primal, dual and hat of every catalog basis, random matrices
+    # and the canonical 8-arc hat
+    rng = random.Random(61)
+    oms = [om for _, _, h in catalog_hats() for om in (h.base, h.base_dual, h.hat)]
+    oms += [om for _, om in _full_row_rank_matrices(rng, 25)]
+    oms.append(canonical_hat().hat)
+    for om in oms:
+        lattice = nonneg_face_lattice(om)
+        ground = set(range(om.ground_size))
+        for x in lattice:
+            assert lattice.rank_of[x] == om.rank - om.column_rank(ground - x)
+
+
+def test_face_lattice_needs_no_column_rank(monkeypatch):
+    # the lattice's ranks come from its covers; a fresh copy of the
+    # canonical hat builds its 812 elements with no elimination
+    calls = []
+    real = RealizedOM.column_rank
+
+    def counted(om, cols):
+        calls.append(cols)
+        return real(om, cols)
+
+    monkeypatch.setattr(RealizedOM, "column_rank", counted)
+    hat = canonical_hat().hat
+    lattice = nonneg_face_lattice(RealizedOM(hat.matrix, hat.labels))
+    assert calls == []
+    assert (len(lattice), max(lattice.rank_of.values())) == (812, 8)
 
 
 def test_face_lattice_closed_under_composition():
