@@ -7,10 +7,14 @@ the two specialization identities of the dichromate, Moebius values, the
 coflow/flow duality, and (for digraph inputs) agreement of the two
 coflow routes.  Hat-based checks run over every basis of the input.
 
-Each check is a generator that yields one outcome per case: None when
-the case holds, the failure detail when it does not.  ``run_checks``
-builds everything the checks read once, in one record per input and
-one per basis; bases with the same standard form share its hat.
+Each check yields one outcome per case: None when the case holds, the
+failure detail when it does not.  ``run_checks`` walks the bases once.
+Bases with the same standard form share its hat: the first of them
+builds a record of the hat and all that is read off it, runs every
+per-basis check on it and keeps only each check's case count and first
+failure, and the record is dropped before the next hat is built.  Every
+basis then counts its form's cases under its own ``basis (...): ``
+prefix, so the hat of a form shared by k bases counts k times.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class Side(NamedTuple):
 
 
 class BasisRecord(NamedTuple):
-    basis: tuple
+    """The hat of one standard form and all that the per-basis checks read."""
+
     hat: HatMatroid
     lattice: FaceLattice  # the hat's nonnegative face lattice
     dichromate: TriPoly
@@ -64,27 +69,25 @@ class InputRecord(NamedTuple):
     dual: RealizedOM  # dual of the standard form at the first basis
     psi: TriPoly
     phi: TriPoly
-    bases: list
     digraph: Digraph | None
     cap: int
 
 
-def mobius_identity(inp):
+def mobius_identity(om):
     """The Eulerian values (-1)^rank against the defining recursion of mu,
     solved by the crosscut over the nonnegative cocircuits, one case per
-    lattice element; a crosscut member missing from the lattice fails."""
-    oms = [inp.om, inp.dual] + [b.hat.hat for b in inp.bases]
-    for om in oms:
-        lat = nonneg_face_lattice(om)
-        atoms = [d.support for d in cocircuits(om) if d.is_nonnegative()]
-        mu = mobius_from_bottom(sum(1 << e for e in s) for s in atoms)
-        for x in lat:
-            got = mu.pop(sum(1 << e for e in x), None)
-            want = lat.mobius(x)
-            yield None if got == want else f"Moebius value {got} at {sorted(x)}, not {want}"
-        for m in mu:
-            extra = [e for e in range(m.bit_length()) if m >> e & 1]
-            yield f"crosscut member {extra} is not in the lattice"
+    element of the face lattice of ``om``; a crosscut member missing from
+    the lattice fails."""
+    lat = nonneg_face_lattice(om)
+    atoms = [d.support for d in cocircuits(om) if d.is_nonnegative()]
+    mu = mobius_from_bottom(sum(1 << e for e in s) for s in atoms)
+    for x in lat:
+        got = mu.pop(sum(1 << e for e in x), None)
+        want = lat.mobius(x)
+        yield None if got == want else f"Moebius value {got} at {sorted(x)}, not {want}"
+    for m in mu:
+        extra = [e for e in range(m.bit_length()) if m >> e & 1]
+        yield f"crosscut member {extra} is not in the lattice"
 
 
 def coflow_flow_duality(inp):
@@ -146,7 +149,7 @@ def parallel_support(inp, b):
         supp = d.support
         for s in b.sides:
             if supp.isdisjoint(s.other):
-                ok = all((e in supp) == (b.hat.partner[e] in supp) for e in s.own)
+                ok = all((e in supp) == (e - b.hat.n in supp) for e in s.own)
                 yield None if ok else (
                     f"{s.name} support {sorted(supp)} not parallel to its partners"
                 )
@@ -182,9 +185,16 @@ def oracle_agreement(inp):
 
 
 # (name, check, scope): an "input" check runs once, a "basis" check once
-# per basis record, a "digraph" check once and only on digraph inputs.
+# per standard form, its cases counted once per basis, a "digraph" check
+# once and only on digraph inputs.  mobius-identity has both halves: the
+# input's and the dual's lattices, then the hat's at every basis.
 CHECKS = (
-    ("mobius-identity", mobius_identity, "input"),
+    (
+        "mobius-identity",
+        lambda inp: [*mobius_identity(inp.om), *mobius_identity(inp.dual)],
+        "input",
+    ),
+    ("mobius-identity", lambda inp, b: mobius_identity(b.hat.hat), "basis"),
     ("coflow-flow-duality", coflow_flow_duality, "input"),
     ("minor-recovery", minor_recovery, "basis"),
     ("cocircuit-lifting", cocircuit_lifting, "basis"),
@@ -199,13 +209,26 @@ CHECKS = (
 )
 
 
-def _basis_record(std: RealizedOM, basis) -> BasisRecord:
+def _tally(outcomes):
+    """(number of cases, first failure detail or None) of one check's outcomes."""
+    outcomes = list(outcomes)
+    return len(outcomes), next((o for o in outcomes if o), None)
+
+
+def _basis_tallies(inp: InputRecord, std: RealizedOM) -> list:
+    """Every per-basis check on the hat of one standard form, as
+    ``(name, tally)`` pairs; the hat and its record die on return."""
     h = build_hat(std)
     sides = (
         Side(PRIMAL, std, nonneg_face_lattice(std), lift_primal, h.a_elems, h.b_elems),
         Side(DUAL, h.base_dual, nonneg_face_lattice(h.base_dual), lift_dual, h.b_elems, h.a_elems),
     )
-    return BasisRecord(basis, h, nonneg_face_lattice(h.hat), dichromate_from_hat(h), sides)
+    b = BasisRecord(h, nonneg_face_lattice(h.hat), dichromate_from_hat(h), sides)
+    return [(name, _tally(check(inp, b))) for name, check, scope in CHECKS if scope == "basis"]
+
+
+def _standard(om: RealizedOM, basis) -> RealizedOM:
+    return standardize(om, list(basis) if basis else None)[0]
 
 
 def run_checks(om: RealizedOM, digraph: Digraph | None = None, cap=DEFAULT_ENUMERATION_CAP):
@@ -213,26 +236,28 @@ def run_checks(om: RealizedOM, digraph: Digraph | None = None, cap=DEFAULT_ENUME
     n = om.ground_size
     if n > cap // 2:
         raise ResourceLimitError(f"{n} elements exceed the doubled-ground cap {cap // 2}")
-    psi, phi = nl_coflow_matroid(om), nl_flow_matroid(om)
-    # Bases that share a standard form share its hat and all that is read
-    # off it; every check still runs once per basis.
-    records, bases = {}, []
-    for basis in om.bases() or [()]:
-        std, _ = standardize(om, list(basis) if basis else None)
-        if std.matrix.entries not in records:
-            records[std.matrix.entries] = _basis_record(std, basis)
-        bases.append(records[std.matrix.entries]._replace(basis=basis))
-    dual = dual_realization(bases[0].hat.base)
-    inp = InputRecord(om, dual, psi, phi, bases, digraph, cap)
-    results = []
+    bases = om.bases() or [()]
+    first = _standard(om, bases[0])
+    inp = InputRecord(
+        om, dual_realization(first), nl_coflow_matroid(om), nl_flow_matroid(om), digraph, cap
+    )
+    tallies = {}  # check name -> (cases, first failure), in the order of CHECKS
     for name, check, scope in CHECKS:
-        if scope == "basis":
-            outcomes = [o and f"basis {b.basis}: {o}" for b in bases for o in check(inp, b)]
-        elif scope == "input" or digraph is not None:
-            outcomes = list(check(inp))
-        else:
-            continue
-        failures = [o for o in outcomes if o]
-        detail = failures[0] if failures else f"{len(outcomes)} cases"
-        results.append(CheckResult(name, not failures, detail))
-    return results
+        if scope == "input" or (scope == "digraph" and digraph is not None):
+            tallies[name] = _tally(check(inp))
+        elif scope == "basis":
+            tallies.setdefault(name, (0, None))
+    forms = {}  # standard-form entries -> that form's per-basis tallies
+    for basis in bases:
+        std = first if basis == bases[0] else _standard(om, basis)
+        if std.matrix.entries not in forms:
+            forms[std.matrix.entries] = _basis_tallies(inp, std)
+        for name, (cases, failure) in forms[std.matrix.entries]:
+            total, first_failure = tallies[name]
+            if first_failure is None and failure:
+                first_failure = f"basis {basis}: {failure}"
+            tallies[name] = (total + cases, first_failure)
+    return [
+        CheckResult(name, failure is None, failure or f"{cases} cases")
+        for name, (cases, failure) in tallies.items()
+    ]

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,17 +39,6 @@ from .poly import dichromate, nl_coflow_matroid, nl_flow_matroid
 from .ratlin import RatMatrix, row_basis
 
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    basis: tuple | None = None
-    k: int | None = None
-    output_format: str = "text"
-    cap: int = DEFAULT_ENUMERATION_CAP
-    oracle: str = ""
 
 
 def parse_matrix(text: str) -> RatMatrix:
@@ -121,47 +109,47 @@ def _realize(kind, obj) -> RealizedOM:
     return RealizedOM.from_rational(row_basis(obj))
 
 
-def _emit(config: RunConfig, payload: dict, text_lines):
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines):
+    if args.output_format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; returns the process exit status."""
-    if config.cap < 0:
-        raise ParseError(f"--cap must be nonnegative, got {config.cap}")
+def run(args: argparse.Namespace) -> int:
+    """Execute one command parsed by ``build_parser``, with ``--basis`` as a
+    tuple of ints; returns the process exit status."""
+    if args.cap < 0:
+        raise ParseError(f"--cap must be nonnegative, got {args.cap}")
     try:
-        kind, obj = load_input(config.input_path)
+        kind, obj = load_input(args.input)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {config.input_path}: {exc}") from None
-    if not config.oracle:
-        config.oracle = "matroid" if kind == "matrix" else "graphic"
-    if config.command == "coflow" and kind == "matrix" and config.oracle != "matroid":
+        raise ParseError(f"cannot read {args.input}: {exc}") from None
+    oracle = args.oracle or ("matroid" if kind == "matrix" else "graphic")
+    if args.command == "coflow" and kind == "matrix" and oracle != "matroid":
         raise ParseError("matrix inputs support only --oracle matroid")
-    if config.command != "colorings":
+    if args.command != "colorings":
         # before any realization: the incidence matrix alone can be costly
         ground_size = obj.arc_count if kind == "digraph" else obj.cols
-        _check_cap(ground_size, config.cap, doubled=config.command in ("dichromate", "check"))
+        _check_cap(ground_size, args.cap, doubled=args.command in ("dichromate", "check"))
 
-    if config.command == "coflow":
-        if config.oracle == "graphic":
-            poly = nl_coflow_graphic(obj, config.cap)
-            _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
-        elif config.oracle == "matroid":
+    if args.command == "coflow":
+        if oracle == "graphic":
+            poly = nl_coflow_graphic(obj, args.cap)
+            _emit(args, {"polynomial": poly.to_json()}, [str(poly)])
+        elif oracle == "matroid":
             poly = nl_coflow_matroid(_realize(kind, obj))
-            _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
+            _emit(args, {"polynomial": poly.to_json()}, [str(poly)])
         else:  # both
-            graphic = nl_coflow_graphic(obj, config.cap)
+            graphic = nl_coflow_graphic(obj, args.cap)
             matroid = nl_coflow_matroid(matroid_from_digraph(obj))
             if graphic != matroid:
                 raise ContractViolation(
                     "oracle-agreement: the subset-poset and face-lattice coflow polynomials differ"
                 )
             _emit(
-                config,
+                args,
                 {
                     "graphic": graphic.to_json(),
                     "matroid": matroid.to_json(),
@@ -171,13 +159,13 @@ def run(config: RunConfig) -> int:
             )
         return 0
 
-    if config.command == "flow":
+    if args.command == "flow":
         poly = nl_flow_matroid(_realize(kind, obj))
-        _emit(config, {"polynomial": poly.to_json()}, [str(poly)])
+        _emit(args, {"polynomial": poly.to_json()}, [str(poly)])
         return 0
 
-    if config.command == "dichromate":
-        basis0 = None if config.basis is None else [b - 1 for b in config.basis]
+    if args.command == "dichromate":
+        basis0 = None if args.basis is None else [b - 1 for b in args.basis]
         try:
             poly, basis_used = dichromate(_realize(kind, obj), basis0)
         except InvalidBasisError as exc:
@@ -185,24 +173,24 @@ def run(config: RunConfig) -> int:
             raise InvalidBasisError([c + 1 for c in exc.columns], exc.reason) from None
         shown = [int(b) + 1 for b in basis_used]
         _emit(
-            config,
+            args,
             {"polynomial": poly.to_json(), "basis": shown},
             [str(poly), "basis: " + ",".join(str(b) for b in shown)],
         )
         return 0
 
-    if config.command == "colorings":
+    if args.command == "colorings":
         if kind != "digraph":
             raise ParseError("colorings requires a digraph input")
-        if config.k is None or config.k < 1:
+        if args.k is None or args.k < 1:
             raise ParseError("--k must be a positive integer")
-        count = count_acyclic_colorings(obj, config.k, budget=DEFAULT_COLORING_BUDGET)
-        _emit(config, {"count": count}, [str(count)])
+        count = count_acyclic_colorings(obj, args.k, budget=DEFAULT_COLORING_BUDGET)
+        _emit(args, {"count": count}, [str(count)])
         return 0
 
-    if config.command == "check":
+    if args.command == "check":
         digraph = obj if kind == "digraph" else None
-        results = run_checks(_realize(kind, obj), digraph=digraph, cap=config.cap)
+        results = run_checks(_realize(kind, obj), digraph=digraph, cap=args.cap)
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -212,10 +200,10 @@ def run(config: RunConfig) -> int:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})" for r in results
         ]
-        _emit(config, payload, lines)
+        _emit(args, payload, lines)
         return 0 if all(r.passed for r in results) else 1
 
-    raise ValueError(f"unknown command {config.command}")
+    raise ValueError(f"unknown command {args.command}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nlpoly",
         description="Exact NL-coflow/NL-flow polynomials and the trivariate dichromate",
     )
+    parser.set_defaults(basis=None, k=None, oracle=None)  # run reads them for every command
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="digraph text file or matrix JSON file")
     common.add_argument(
@@ -260,24 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    basis = getattr(args, "basis", None)
-    if basis is not None:
+    if args.basis is not None:
         try:  # an empty --basis is the empty basis, valid only at rank 0
-            basis = tuple(int(b) for b in basis.split(",")) if basis else ()
+            args.basis = tuple(int(b) for b in args.basis.split(",")) if args.basis else ()
         except ValueError:
             print("error: --basis expects comma-separated integers", file=sys.stderr)
             return 2
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        basis=basis,
-        k=getattr(args, "k", None),
-        output_format=args.output_format,
-        cap=args.cap,
-        oracle=getattr(args, "oracle", None) or "",
-    )
     try:
-        code = run(config)
+        code = run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # stdout's reader is gone; keep the exit flush quiet

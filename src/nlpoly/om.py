@@ -73,8 +73,7 @@ class SignVector:
 class Chirotope:
     """Alternating sign map on ordered r-tuples of ground elements.
 
-    Stored on sorted tuples; ``__call__`` handles arbitrary orderings
-    via permutation parity.  Normalized so the lexicographically first
+    Stored on sorted tuples.  Normalized so the lexicographically first
     basis maps to +1.
     """
 
@@ -84,22 +83,6 @@ class Chirotope:
         self.ground_size = ground_size
         self.rank = rank
         self.signs = dict(signs)
-
-    def __call__(self, elems) -> int:
-        elems = tuple(elems)
-        if len(elems) != self.rank:
-            raise DimensionError(f"chirotope expects {self.rank}-tuples")
-        if len(set(elems)) != len(elems):
-            return 0
-        order = sorted(elems)
-        parity = 1
-        work = list(elems)
-        for i in range(len(work)):  # selection-sort parity, tuples are tiny
-            j = work.index(order[i], i)
-            if j != i:
-                work[i], work[j] = work[j], work[i]
-                parity = -parity
-        return parity * self.signs[tuple(order)]
 
     def bases(self):
         return tuple(t for t in sorted(self.signs) if self.signs[t])
@@ -235,12 +218,12 @@ def chirotope_from_matrix(m: RatMatrix) -> Chirotope:
 class RealizedOM:
     """An oriented matroid given by a full-row-rank exact realization."""
 
-    __slots__ = ("matrix", "labels", "_rows", "_chirotope", "_cocircuits", "_lattice")
+    __slots__ = ("matrix", "labels", "_chirotope", "_cocircuits", "_lattice")
 
     def __init__(self, matrix: RatMatrix, labels=None):
         # ranks are taken on the rows cleared of denominators, in integers;
-        # the chirotope reuses them and their echelon form
-        self._rows, pivots, _ = cleared_echelon(matrix)
+        # the matrix keeps them and their echelon form for the chirotope
+        _, pivots, _ = cleared_echelon(matrix)
         if len(pivots) != matrix.rows:
             raise NotARealizationError("matrix does not have full row rank")
         self.matrix = matrix
@@ -284,7 +267,8 @@ class RealizedOM:
     def column_rank(self, cols) -> int:
         """Rank of the column submatrix on ``cols``."""
         cols = sorted(cols)
-        return len(echelon([[row[j] for j in cols] for row in self._rows])[0])
+        rows = cleared_echelon(self.matrix)[0]
+        return len(echelon([[row[j] for j in cols] for row in rows])[0])
 
     def bases(self):
         return self.chirotope.bases()

@@ -2,10 +2,11 @@
 
 Given M in standard form (I_r | C) on n elements, the supermatroid
 lives on 2n elements: E (the original ground), A (one partner per
-basis element) and B (one partner per cobasis element).  It is realized
-by stacking (I_r | C | I_r | 0) on top of (-C^T | I_{n-r} | 0 | I_{n-r})
-with column j of the bottom block scaled by eps^(2n-1-j) for a positive
-infinitesimal eps; deleting A and contracting B recovers M, while
+basis element) and B (one partner per cobasis element); the partner of
+e in E is e + n.  It is realized by stacking (I_r | C | I_r | 0) on top
+of (-C^T | I_{n-r} | 0 | I_{n-r}) with column j of the bottom block
+scaled by eps^(2n-1-j) for a positive infinitesimal eps; deleting A and
+contracting B recovers M, while
 contracting A and deleting B recovers the dual.  The realization is
 built at a rational eps certified small enough for every minor to have
 its eps -> 0+ sign and rank (``ratlin.eps_limit_rows``), so the union
@@ -28,15 +29,14 @@ NEITHER = "neither"
 class HatMatroid:
     """M, its dual, its union supermatroid, and the bookkeeping between them."""
 
-    __slots__ = ("base", "base_dual", "hat", "a_elems", "b_elems", "partner")
+    __slots__ = ("base", "base_dual", "hat", "a_elems", "b_elems")
 
-    def __init__(self, base, base_dual, hat, a_elems, b_elems, partner):
+    def __init__(self, base, base_dual, hat, a_elems, b_elems):
         self.base = base
         self.base_dual = base_dual
         self.hat = hat
         self.a_elems = a_elems
         self.b_elems = b_elems
-        self.partner = partner
 
     @property
     def n(self) -> int:
@@ -64,20 +64,12 @@ def build_hat(om: RealizedOM) -> HatMatroid:
         coeffs = row + [0] * r + [1 if k == i else 0 for k in range(n - r)]
         rows.append([(c, 2 * n - 1 - j) for j, c in enumerate(coeffs)])
     hat = RealizedOM(RatMatrix.from_rows(eps_limit_rows(rows)), labels=tuple(range(2 * n)))
-    partner = {}
-    for i in range(r):
-        partner[n + i] = i
-        partner[i] = n + i
-    for i in range(n - r):
-        partner[n + r + i] = r + i
-        partner[r + i] = n + r + i
     return HatMatroid(
         base=om,
         base_dual=dual,
         hat=hat,
         a_elems=tuple(range(n, n + r)),
         b_elems=tuple(range(n + r, 2 * n)),
-        partner=partner,
     )
 
 
@@ -114,7 +106,7 @@ def lift_primal(x: frozenset, h: HatMatroid) -> frozenset:
     """
     if x not in nonneg_face_lattice(h.base):
         raise ContractViolation("not a nonnegative covector of the base matroid")
-    return x | {h.partner[e] for e in x if e < h.r}
+    return x | {e + h.n for e in x if e < h.r}
 
 
 def lift_dual(x: frozenset, h: HatMatroid) -> frozenset:
@@ -125,7 +117,7 @@ def lift_dual(x: frozenset, h: HatMatroid) -> frozenset:
     """
     if x not in nonneg_face_lattice(h.base_dual):
         raise ContractViolation("not a nonnegative covector of the dual matroid")
-    return x | {h.partner[e] for e in x if e >= h.r}
+    return x | {e + h.n for e in x if e >= h.r}
 
 
 def restrict(xhat: frozenset, h: HatMatroid):

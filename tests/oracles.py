@@ -13,6 +13,7 @@ read off the lowest-degree coefficient.
 import itertools
 from fractions import Fraction
 
+from nlpoly.errors import DimensionError
 from nlpoly.om import SignVector
 from nlpoly.ratlin import RatMatrix
 
@@ -218,6 +219,26 @@ def brute_cocircuits(m: RatMatrix):
     }
 
 
+def chirotope_at(chi, elems) -> int:
+    """A chirotope on an ordered r-tuple in any order: 0 when an element
+    repeats, else its value on the sorted tuple times the parity of the
+    permutation that sorts it."""
+    elems = tuple(elems)
+    if len(elems) != chi.rank:
+        raise DimensionError(f"chirotope expects {chi.rank}-tuples")
+    if len(set(elems)) != len(elems):
+        return 0
+    order = sorted(elems)
+    parity = 1
+    work = list(elems)
+    for i in range(len(work)):  # selection-sort parity, tuples are tiny
+        j = work.index(order[i], i)
+        if j != i:
+            work[i], work[j] = work[j], work[i]
+            parity = -parity
+    return parity * chi.signs[tuple(order)]
+
+
 def scan_cocircuits(om):
     """Signed cocircuits by scanning every (r-1)-subset of the ground set.
 
@@ -233,7 +254,7 @@ def scan_cocircuits(om):
     seen = {}
     if r > 0:
         for sub in itertools.combinations(range(n), r - 1):
-            values = {e: chi((e,) + sub) for e in range(n) if e not in sub}
+            values = {e: chirotope_at(chi, (e,) + sub) for e in range(n) if e not in sub}
             values = {e: v for e, v in values.items() if v}
             key = frozenset(values)
             if not values or key in seen:
@@ -371,7 +392,7 @@ def relabeled_chirotope(om):
     out = {}
     for tup, s in chi.signs.items():
         labs = sorted(om.labels[e] for e in tup)
-        out[tuple(labs)] = chi([pos[l] for l in labs])
+        out[tuple(labs)] = chirotope_at(chi, [pos[l] for l in labs])
     return out
 
 

@@ -3,12 +3,16 @@
 Each FAIL test breaks one function that ``nlpoly.checks`` calls through
 its own module globals and asserts that the check which guards that
 function reports the failure, naming the basis where the check runs per
-basis.  The property test draws small matrices and digraphs and asserts
-that every check passes on them.
+basis.  Two tests count what ``run_checks`` builds: no hat outlives the
+one built after it, and each standard form is checked once however many
+bases share it.  The property test draws small matrices and digraphs
+and asserts that every check passes on them.
 """
 
 import ast
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +23,7 @@ from nlpoly import checks
 from nlpoly.cli import _realize, main
 from nlpoly.digraph import Digraph, matroid_from_digraph
 from nlpoly.errors import ResourceLimitError
-from nlpoly.om import FaceLattice, nonneg_face_lattice
+from nlpoly.om import FaceLattice, SignVector, nonneg_face_lattice
 from nlpoly.ratlin import RatMatrix
 from nlpoly.union import DUAL, PRIMAL, HatMatroid
 from suite import TEST_DIGRAPHS
@@ -27,6 +31,7 @@ from suite import TEST_DIGRAPHS
 # digon-pendant (0->1, 1->0, 1->2) has nonnegative cocircuits on both
 # sides of every hat, rank 2 of 3 and a digraph for oracle-agreement.
 DIGRAPH = dict(TEST_DIGRAPHS)["digon-pendant"]
+HAT_SIZE = 2 * DIGRAPH.arc_count
 
 PER_BASIS = {
     "minor-recovery",
@@ -62,14 +67,19 @@ def _lattice_ranks(new_rank):
 
 
 def _swap_first_partners(real):
-    def build(std):
-        h = real(std)
-        partner = dict(h.partner)
-        a0, a1 = h.a_elems[:2]
-        partner[a0], partner[a1] = h.partner[a1], h.partner[a0]
-        return HatMatroid(h.base, h.base_dual, h.hat, h.a_elems, h.b_elems, partner)
+    """Hat cocircuits with the signs of the partners of elements 0 and 1
+    swapped, so a support holding 0 and not 1 holds the partner of 1."""
 
-    return build
+    def swapped(om):
+        cocs = real(om)
+        if om.ground_size != HAT_SIZE:
+            return cocs
+        a0 = HAT_SIZE // 2
+        return tuple(
+            SignVector(s[:a0] + (s[a0 + 1], s[a0]) + s[a0 + 2:]) for s in (d.signs for d in cocs)
+        )
+
+    return swapped
 
 
 def _specialize_off_at(at):
@@ -97,7 +107,7 @@ BREAKS = {
             real(xhat, h)[1],
         ),
     ),
-    "parallel-support": ("build_hat", _swap_first_partners),
+    "parallel-support": ("cocircuits", _swap_first_partners),
     "exponent-identities": ("nonneg_face_lattice", _lattice_ranks(lambda k: k + 1)),
     "coflow-specialization": ("specialize", _specialize_off_at((0, 1))),
     "flow-specialization": ("specialize", _specialize_off_at((1, 0))),
@@ -125,13 +135,16 @@ def test_check_reports_fail(check, monkeypatch):
         assert ast.literal_eval(match.group(1)) in om.bases()
 
 
-def _mobius_identity(monkeypatch, change):
-    """mobius-identity on DIGRAPH, with every lattice's elements and ranks
-    passed through ``change``."""
+def _mobius_identity(monkeypatch, change, ground_size=None):
+    """mobius-identity on DIGRAPH, with the elements and ranks of every
+    lattice, or of those on ``ground_size`` elements, passed through
+    ``change``."""
     real = checks.nonneg_face_lattice
 
     def planted(om):
         lat = real(om)
+        if ground_size not in (None, om.ground_size):
+            return lat
         return FaceLattice(*change(list(lat.elements), dict(lat.rank_of)))
 
     monkeypatch.setattr(checks, "nonneg_face_lattice", planted)
@@ -139,17 +152,26 @@ def _mobius_identity(monkeypatch, change):
     return {r.name: r for r in checks.run_checks(om, digraph=DIGRAPH)}["mobius-identity"]
 
 
-def test_mobius_identity_reports_one_wrong_rank(monkeypatch):
-    def raise_top(elements, rank_of):
-        rank_of[elements[-1]] += 1
-        return elements, rank_of
+def _raise_top(elements, rank_of):
+    rank_of[elements[-1]] += 1
+    return elements, rank_of
 
+
+def test_mobius_identity_reports_one_wrong_rank(monkeypatch):
     lattice = nonneg_face_lattice(matroid_from_digraph(DIGRAPH))
     top = max(lattice, key=len)
     mu = lattice.mobius(top)
-    result = _mobius_identity(monkeypatch, raise_top)
+    result = _mobius_identity(monkeypatch, _raise_top)
     assert not result.passed
     assert result.detail == f"Moebius value {mu} at {sorted(top)}, not {-mu}"
+
+
+def test_mobius_identity_names_the_basis_of_a_hat_failure(monkeypatch):
+    result = _mobius_identity(monkeypatch, _raise_top, ground_size=HAT_SIZE)
+    assert not result.passed
+    match = re.match(r"basis (\([^)]*\)): Moebius value ", result.detail)
+    assert match, result.detail
+    assert ast.literal_eval(match.group(1)) == matroid_from_digraph(DIGRAPH).bases()[0]
 
 
 def test_mobius_identity_reports_a_missing_element(monkeypatch):
@@ -161,6 +183,45 @@ def test_mobius_identity_reports_a_missing_element(monkeypatch):
     result = _mobius_identity(monkeypatch, drop_top)
     assert not result.passed
     assert result.detail == f"crosscut member {sorted(top)} is not in the lattice"
+
+
+def test_run_checks_keeps_no_earlier_hat_alive(monkeypatch):
+    real = checks.build_hat
+    hats = []
+
+    class Tracked(HatMatroid):
+        __slots__ = ("__weakref__",)
+
+    def build(std):
+        gc.collect()
+        assert [ref for ref in hats[:-1] if ref() is not None] == []
+        h = real(std)
+        tracked = Tracked(h.base, h.base_dual, h.hat, h.a_elems, h.b_elems)
+        hats.append(weakref.ref(tracked))
+        return tracked
+
+    monkeypatch.setattr(checks, "build_hat", build)
+    d = dict(TEST_DIGRAPHS)["k4-cyclic"]
+    assert all(r.passed for r in checks.run_checks(matroid_from_digraph(d), digraph=d))
+    assert len(hats) > 2
+
+
+def test_each_standard_form_is_checked_once(monkeypatch):
+    calls = {"build_hat": 0, "minor": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(checks, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counted)
+    d = dict(TEST_DIGRAPHS)["two-cycles-shared"]
+    om = matroid_from_digraph(d)
+    results = {r.name: r for r in checks.run_checks(om, digraph=d)}
+    assert all(r.passed for r in results.values())
+    assert 0 < calls["build_hat"] < len(om.bases())
+    assert calls["minor"] == 2 * calls["build_hat"]
+    # but the cases of a shared form count once per basis
+    assert results["coflow-specialization"].detail == f"{len(om.bases())} cases"
 
 
 def test_cli_check_exits_1_on_a_failed_check(tmp_path, capsys, monkeypatch):

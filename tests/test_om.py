@@ -27,6 +27,7 @@ from oracles import (
     bitmask,
     brute_cocircuits,
     brute_nonneg_covectors,
+    chirotope_at,
     chirotopes_equal_up_to_sign,
     eps_limit_chirotope,
     keyed_by_sets,
@@ -137,10 +138,10 @@ def test_chirotope_alternation_and_duplicates():
             i, j = rng.sample(range(r), 2)
             swapped = list(tup)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            assert chi(swapped) == -chi(tup)
+            assert chirotope_at(chi, swapped) == -chirotope_at(chi, tup)
         dup = [tup[0]] + list(tup[1:])
         dup[-1] = tup[0]
-        assert chi(dup) == 0
+        assert chirotope_at(chi, dup) == 0
 
 
 def test_chirotope_normalized_first_basis_positive():

@@ -44,7 +44,7 @@ def test_build_hat_digon_matrix_is_exact():
     # scaled by eps^(3-j), taken at eps = 1/K with K = 1 + 3 * 3 (the
     # product of the rows' l1 norms, plus one) and multiplied by K^3
     assert h.hat.matrix == RatMatrix.from_rows([[1, -1, 1, 0], [1, 10, 0, 1000]])
-    assert h.partner == {2: 0, 0: 2, 3: 1, 1: 3}
+    assert (h.a_elems, h.b_elems) == ((2,), (3,))
 
 
 def test_build_hat_empty():
